@@ -55,7 +55,6 @@ from .reversible import (
 )
 from .spectral import (
     METHOD_JACOBI,
-    METHOD_POWER,
     METHOD_QR,
     BoundReport,
     SingularPair,
@@ -84,7 +83,6 @@ __all__ = [
     "FormatError",
     "LengthMismatchError",
     "METHOD_JACOBI",
-    "METHOD_POWER",
     "METHOD_QR",
     "NegativeEntryError",
     "NonFiniteError",

@@ -392,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "jacobi", "qr"),
         default="auto",
-        help="solver choice (default: jacobi when symmetric, else qr)",
+        help="eigenvalue route: jacobi is the symmetric route (LAPACK syevd), "
+        "qr the general route (LAPACK geev); auto picks jacobi when the matrix "
+        "is symmetric within --tol, else qr (default auto)",
     )
     p.set_defaults(handler=_cmd_spectral)
 
@@ -505,3 +507,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

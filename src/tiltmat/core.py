@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NegativeEntryError,
+    NotIrreducibleError,
     NotSquareError,
     PatternMismatchError,
     RowSumError,
@@ -254,8 +255,6 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
     the period as gcd of ``level[i] + 1 - level[j]`` over all edges (i, j);
     tree edges contribute 0 and leave the gcd unchanged.
     """
-    from .errors import NotIrreducibleError
-
     arr = _dense(P)
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"aperiodicity needs a square matrix, got {arr.shape}")

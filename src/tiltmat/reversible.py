@@ -23,6 +23,7 @@ from .errors import (
     NotReversibleError,
     ZeroStationaryError,
 )
+from .spectral import general_spectrum
 from .validation import (
     DEFAULT_TOL,
     as_positive_vector,
@@ -176,8 +177,6 @@ def two_tilt_product(
     non-negative; that is verified here with the general eigensolver and a
     1e-9 tolerance, since it is what downstream bounds rely on.
     """
-    from .spectral import general_spectrum
-
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = as_positive_vector(u, "u")

@@ -1,11 +1,14 @@
-"""Dense spectral computations sized for chains with tens of states.
+"""Dense spectral computations on LAPACK through ``numpy.linalg``.
 
-Two eigensolvers cover the package's needs: cyclic Jacobi rotations for
-symmetric matrices (used on symmetrized reversible kernels, where the theory
-guarantees a real spectrum) and Hessenberg reduction followed by explicitly
-shifted complex QR iteration for general square matrices.  On top of them sit
-second-eigenvalue extraction, the top two singular values, and evaluators for
-the four second-eigenvalue bounds.
+Two eigenvalue routes cover the package's needs.  The symmetric route,
+labelled ``symmetric-jacobi`` for the CLI's ``jacobi`` choice, runs LAPACK
+``syevd`` (``numpy.linalg.eigvalsh``) on symmetrized reversible kernels, where
+the theory guarantees a real spectrum.  The general route, labelled
+``general-qr``, runs LAPACK ``geev`` (``numpy.linalg.eigvals``, Hessenberg
+reduction and shifted QR) on any square matrix.  On top of them sit
+second-eigenvalue extraction, the top two singular values (LAPACK ``gesdd``
+through ``numpy.linalg.svd``), and evaluators for the four second-eigenvalue
+bounds.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ from .errors import (
 )
 from .validation import DEFAULT_TOL, as_matrix, as_positive_vector, as_square_matrix
 
-_EPS = float(np.finfo(np.float64).eps)
-_JACOBI_MAX_SWEEPS = 100
-_QR_MAX_ITER_PER_BLOCK = 200
-
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
-METHOD_POWER = "power-deflation"
 
 
 @dataclass(frozen=True)
@@ -82,133 +80,26 @@ def _dense_square(M, name: str = "matrix") -> np.ndarray:
     return as_square_matrix(M, name)
 
 
-def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending.
+def _lapack(routine, arr: np.ndarray, **kwargs) -> np.ndarray:
+    """Call a ``numpy.linalg`` routine; LAPACK non-convergence becomes ConvergenceError."""
+    try:
+        return routine(arr, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK {routine.__name__} failed: {exc}") from None
 
-    Sweeps of two-sided rotations annihilate one off-diagonal pair at a time;
-    iteration stops once the off-diagonal Frobenius mass falls below ``tol``
-    times the Frobenius norm of the input (or after 100 sweeps, which raises
-    :class:`ConvergenceError`).  ``tol`` also bounds the accepted input
-    asymmetry, relative to the largest entry.
+
+def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by LAPACK ``syevd``, sorted descending.
+
+    ``tol`` bounds the accepted input asymmetry, relative to the largest
+    entry; the symmetric part of the input is what gets decomposed.
     """
     arr = _dense_square(S, "S")
-    n = arr.shape[0]
     scale = float(np.abs(arr).max())
     if float(np.abs(arr - arr.T).max()) > tol * max(1.0, scale):
         raise NotSymmetricError("matrix is not symmetric within tol")
-    work = 0.5 * (arr + arr.T)
-    if n == 1:
-        return np.array([float(work[0, 0])])
-    frobenius = float(np.sqrt((work * work).sum()))
-    if frobenius == 0.0:
-        return np.zeros(n)
-    target = tol * frobenius
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off_diag = work - np.diag(np.diag(work))
-        off_mass = float(np.sqrt((off_diag * off_diag).sum()))
-        if off_mass <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = work[p].copy()
-                row_q = work[q].copy()
-                work[p] = c * row_p - s * row_q
-                work[q] = s * row_p + c * row_q
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-    else:
-        raise ConvergenceError(
-            f"Jacobi did not reach off-diagonal mass {target!r} in "
-            f"{_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    values = np.sort(np.diag(work).copy())[::-1]
-    return np.ascontiguousarray(values)
-
-
-def _householder_hessenberg(arr: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by orthogonal similarity."""
-    H = arr.astype(np.float64, copy=True)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        norm_x = float(np.sqrt((x * x).sum()))
-        if norm_x == 0.0:
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x.copy()
-        v[0] -= alpha
-        norm_v = float(np.sqrt((v * v).sum()))
-        if norm_v == 0.0:
-            continue
-        v /= norm_v
-        H[k + 1 :, k:] -= 2.0 * np.outer(v, v @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= 2.0 * np.outer(H[:, k + 1 :] @ v, v)
-        H[k + 2 :, k] = 0.0
-    return H
-
-
-def _wilkinson_shift(H: np.ndarray, hi: int) -> complex:
-    """Root of the trailing 2x2 block closest to the corner entry."""
-    a = H[hi - 1, hi - 1]
-    b = H[hi - 1, hi]
-    c = H[hi, hi - 1]
-    d = H[hi, hi]
-    half_trace = 0.5 * (a + d)
-    disc = np.sqrt(np.complex128(half_trace * half_trace - (a * d - b * c)))
-    r1 = half_trace + disc
-    r2 = half_trace - disc
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
-
-
-def _qr_step(block: np.ndarray, shift: complex) -> None:
-    """One explicit single-shift QR iteration on a Hessenberg block, in place."""
-    size = block.shape[0]
-    idx = np.arange(size)
-    block[idx, idx] -= shift
-    rotations = []
-    for k in range(size - 1):
-        x = block[k, k]
-        y = block[k + 1, k]
-        r = math.hypot(abs(x), abs(y))
-        if r == 0.0:
-            rotations.append(None)
-            continue
-        xc = np.conj(x)
-        yc = np.conj(y)
-        row_k = block[k, k:].copy()
-        row_k1 = block[k + 1, k:].copy()
-        block[k, k:] = (xc * row_k + yc * row_k1) / r
-        block[k + 1, k:] = (-y * row_k + x * row_k1) / r
-        block[k + 1, k] = 0.0
-        rotations.append((x, y, r))
-    for k, rot in enumerate(rotations):
-        if rot is None:
-            continue
-        x, y, r = rot
-        col_k = block[:, k].copy()
-        col_k1 = block[:, k + 1].copy()
-        block[:, k] = (x * col_k + y * col_k1) / r
-        block[:, k + 1] = (-np.conj(y) * col_k + np.conj(x) * col_k1) / r
-    block[idx, idx] += shift
+    values = _lapack(np.linalg.eigvalsh, 0.5 * (arr + arr.T))
+    return np.ascontiguousarray(values[::-1])
 
 
 def _sort_spectrum(values: np.ndarray) -> np.ndarray:
@@ -216,62 +107,19 @@ def _sort_spectrum(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def general_spectrum(M, tol: float = 1e-12) -> Spectrum:
-    """Full spectrum of a square real matrix; complex pairs permitted.
-
-    Householder reduction to Hessenberg form, then explicitly shifted QR in
-    complex arithmetic with Wilkinson shifts, an exceptional shift every ten
-    stalled iterations, and deflation once a subdiagonal entry is negligible
-    at relative level ``max(tol, machine eps)``.
-    """
+def general_spectrum(M) -> Spectrum:
+    """Full spectrum of a square real matrix by LAPACK ``geev``; complex pairs permitted."""
     arr = _dense_square(M, "M")
-    n = arr.shape[0]
-    if n == 1:
-        return Spectrum(np.array([arr[0, 0]], dtype=np.complex128), METHOD_QR)
-    H = _householder_hessenberg(arr).astype(np.complex128)
-    overall = max(float(np.abs(H).max()), _EPS)
-    rel = max(tol, _EPS)
-
-    values = np.empty(n, dtype=np.complex128)
-    hi = n - 1
-    stalled = 0
-    while hi >= 0:
-        if hi == 0:
-            values[0] = H[0, 0]
-            break
-        lo = hi
-        while lo > 0:
-            local = abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
-            threshold = rel * (local if local > 0.0 else overall)
-            if abs(H[lo, lo - 1]) <= threshold:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            values[hi] = H[hi, hi]
-            hi -= 1
-            stalled = 0
-            continue
-        stalled += 1
-        if stalled > _QR_MAX_ITER_PER_BLOCK:
-            raise ConvergenceError(
-                f"QR iteration stalled on block [{lo}, {hi}] after "
-                f"{_QR_MAX_ITER_PER_BLOCK} steps"
-            )
-        if stalled % 10 == 0:
-            shift = H[hi, hi] + 0.75 * abs(H[hi, hi - 1])
-        else:
-            shift = _wilkinson_shift(H, hi)
-        _qr_step(H[lo : hi + 1, lo : hi + 1], shift)
-    return Spectrum(_sort_spectrum(values), METHOD_QR)
+    return Spectrum(_sort_spectrum(_lapack(np.linalg.eigvals, arr)), METHOD_QR)
 
 
 def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum with solver routing.
 
-    ``auto`` picks the Jacobi solver when the input is symmetric within
-    ``tol`` (relative to its largest entry) and the QR solver otherwise;
-    passing ``symmetric-jacobi`` or ``general-qr`` forces a solver.
+    ``auto`` picks the symmetric route (``syevd``) when the input is symmetric
+    within ``tol`` (relative to its largest entry) and the general route
+    (``geev``) otherwise; passing ``symmetric-jacobi`` or ``general-qr``
+    forces a route.
     """
     arr = _dense_square(M, "M")
     if method == "auto":
@@ -306,8 +154,8 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
 
     When ``mu`` is supplied and certifies detailed balance within ``tol``
     (stationarity residual and defect both below it), the spectrum is taken
-    from the Jacobi solver on the symmetrized kernel, which is exact for
-    reversible inputs; otherwise the general QR solver is used.  The
+    from the symmetric route on the symmetrized kernel, which is exact for
+    reversible inputs; otherwise the general route is used.  The
     eigenvalue closest to 1 is excluded; if none lies within 1e-6 of 1 the
     input is rejected as having drifted from stochasticity.
     """
@@ -336,14 +184,11 @@ def _certifies_reversible(arr: np.ndarray, mu: np.ndarray, tol: float) -> bool:
     return float(np.abs(flow - flow.T).max()) <= tol
 
 
-def top2_singular_values(M, tol: float = 1e-12) -> SingularPair:
-    """Two largest singular values via Jacobi on the Gram matrix ``M^T M``."""
-    arr = as_matrix(M, "M")
-    gram = arr.T @ arr
-    values = symmetric_eigenvalues(gram, tol)
-    sigma1 = math.sqrt(max(float(values[0]), 0.0))
-    sigma2 = math.sqrt(max(float(values[1]), 0.0)) if values.size > 1 else 0.0
-    return SingularPair(sigma1, sigma2)
+def top2_singular_values(M) -> SingularPair:
+    """Two largest singular values by LAPACK ``gesdd``."""
+    values = _lapack(np.linalg.svd, as_matrix(M, "M"), compute_uv=False)
+    sigma2 = float(values[1]) if values.size > 1 else 0.0
+    return SingularPair(float(values[0]), sigma2)
 
 
 def bound_tilted(lambda2_P: float, u) -> float:

@@ -66,11 +66,6 @@ def as_positive_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def require_same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"{what}: lengths {a.shape[0]} and {b.shape[0]} differ")
-
-
 def pattern_threshold(arr: np.ndarray) -> float:
     """Scale-relative cutoff below which an entry counts as a structural zero."""
     peak = float(np.max(np.abs(arr))) if arr.size else 0.0

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import tiltmat
 from tiltmat import random_reversible, tilt
 from tiltmat.cli import main
 from tiltmat.io import format_matrix, format_vector, parse_matrix, parse_vector
@@ -368,3 +373,23 @@ def test_argparse_failures_exit_2(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_points(tmp_path):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    env = dict(os.environ)
+    src = str(Path(tiltmat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("tiltmat", "tiltmat.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "spectral", "--matrix", mat],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        pairs = parse_matrix(done.stdout)
+        assert sorted(np.round(pairs[:, 0], 10).tolist()) == [0.7, 1.0]
+        bare = subprocess.run(
+            [sys.executable, "-m", module], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert bare.returncode == 2

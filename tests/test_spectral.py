@@ -79,8 +79,8 @@ def test_jacobi_matches_numpy():
 
 
 def test_jacobi_near_diagonal():
-    # off-diagonal mass far below the diagonal scale; the sweep termination
-    # must measure it directly rather than by subtracting Frobenius norms
+    # off-diagonal mass far below the diagonal scale, so the small
+    # eigenvalue gaps must survive the symmetric solver's rounding
     for seed in range(5):
         chain = random_reversible(8, seed=400 + seed)
         S = 0.95 * np.eye(8) + 0.05 * symmetrize(chain)
@@ -101,8 +101,8 @@ def test_general_spectrum_two_state_chain():
 
 
 def test_general_spectrum_triangular_is_exact():
-    # already Hessenberg with zero subdiagonal, so every block deflates
-    # immediately and the diagonal is returned untouched
+    # triangular input: the general solver must return the diagonal
+    # untouched, repeated eigenvalue included
     T = np.array([[0.5, 1.0, 2.0], [0.0, 0.5, 3.0], [0.0, 0.0, -0.25]])
     spec = general_spectrum(T)
     assert match_dist(spec.eigenvalues, [0.5, 0.5, -0.25]) == 0.0
@@ -134,6 +134,44 @@ def test_general_spectrum_sorted_by_modulus():
         assert abs(spec.eigenvalues[0] - 1.0) < 1e-10
 
 
+def reflecting_path_walk(m):
+    P = np.zeros((m, m))
+    for i in range(m - 1):
+        P[i, i + 1] = P[i + 1, i] = 0.5
+    P[0, 0] += 0.5
+    P[m - 1, m - 1] += 0.5
+    return P, np.cos(np.pi * np.arange(m) / m)
+
+
+def lazy_cycle(m):
+    shift = np.roll(np.eye(m), 1, axis=1)
+    P = 0.5 * np.eye(m) + 0.25 * (shift + shift.T)
+    return P, 0.5 + 0.5 * np.cos(2.0 * np.pi * np.arange(m) / m)
+
+
+CLOSED_FORM_CHAINS = [
+    (build, m)
+    for m in (2, 3, 5, 8, 16, 64)
+    for build in (reflecting_path_walk, lazy_cycle)
+    if not (build is lazy_cycle and m < 3)
+]
+
+
+@pytest.mark.parametrize(
+    "build,m", CLOSED_FORM_CHAINS, ids=[f"{b.__name__}-{m}" for b, m in CLOSED_FORM_CHAINS]
+)
+def test_closed_form_spectra(build, m):
+    """Chains with known eigenvalues, an oracle independent of LAPACK."""
+    P, exact = build(m)
+    # exact[0] == 1 is the principal eigenvalue in both families
+    lambda2 = float(np.abs(exact[1:]).max())
+
+    assert np.abs(symmetric_eigenvalues(P) - np.sort(exact)[::-1]).max() < 1e-12
+    assert match_dist(general_spectrum(P).eigenvalues, exact) < 1e-12
+    assert abs(second_eigenvalue_modulus(P) - lambda2) < 1e-12
+    assert abs(second_eigenvalue_modulus(P, mu=np.full(m, 1.0 / m)) - lambda2) < 1e-12
+
+
 def test_spectrum_routing():
     sym = [[0.5, 0.5], [0.5, 0.5]]
     assert spectrum(sym).method == METHOD_JACOBI
@@ -155,6 +193,23 @@ def test_spectrum_routes_agree_on_symmetric():
         jac = spectrum(S, method=METHOD_JACOBI).eigenvalues
         qr = spectrum(S, method=METHOD_QR).eigenvalues
         assert match_dist(jac, qr) < 1e-9 * max(1.0, float(np.abs(jac).max()))
+
+
+@pytest.mark.parametrize(
+    "routine,call",
+    [
+        ("eigvalsh", lambda: symmetric_eigenvalues(np.eye(2))),
+        ("eigvals", lambda: general_spectrum(np.eye(2))),
+        ("svd", lambda: top2_singular_values(np.eye(2))),
+    ],
+)
+def test_lapack_failure_is_convergence_error(monkeypatch, routine, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(ConvergenceError):
+        call()
 
 
 def test_second_eigenvalue_frozen():
