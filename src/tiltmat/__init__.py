@@ -21,6 +21,7 @@ from .core import (
     rank1_sandwich,
     tilt,
     tilt_detect,
+    tilted_product,
     validate_stochastic,
     zero_pattern,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "symmetrize",
     "tilt",
     "tilt_detect",
+    "tilted_product",
     "tilted_stationary",
     "top2_singular_values",
     "two_tilt_product",

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import normalize_product, tilt, tilt_detect, validate_stochastic
+from .core import normalize_product, tilt, tilt_detect, tilted_product, validate_stochastic
 from .errors import TiltmatError
 from .harness import conjecture_scan, converge_demo
 from .io import (
@@ -173,12 +173,8 @@ def _cmd_bounds(args) -> str:
         value = bound_pair(lam_tilts[0], lam_tilts[1], tilts[0][1], tilts[1][1])
         rows.append(("pair", BoundReport.evaluate(observed_pair, value)))
 
-    product = None
-    for U, _ in tilts:
-        product = U.matrix.copy() if product is None else product @ U.matrix
-        product /= product.sum(axis=1)[:, None]
     observed_prod = second_eigenvalue_modulus(
-        validate_stochastic(product, args.tol), None, args.tol
+        tilted_product(chain.kernel, us, args.tol), None, args.tol
     )
     rows.append(
         (

@@ -3,10 +3,11 @@
 A *tilt* of a non-negative matrix ``A`` by a strictly positive vector ``u`` is
 the row-normalized diagonal sandwich ``D^{-1}(Au) A D(u)``, which is always
 row-stochastic and has the same zero pattern as ``A``.  This module provides
-the tilt itself, stochastic certification, zero-pattern / irreducibility /
-aperiodicity analysis, normalization of a product ``A_1 D(u_1) ... A_n D(u_n)``
-into a single diagonal-times-stochastic factorization, and detection of a
-tilt relation between two stochastic matrices.
+the tilt itself, the product of tilts of one kernel (:func:`tilted_product`),
+stochastic certification, zero-pattern / irreducibility / aperiodicity
+analysis, normalization of a product ``A_1 D(u_1) ... A_n D(u_n)`` into a
+single diagonal-times-stochastic factorization, and detection of a tilt
+relation between two stochastic matrices.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .validation import (
     DEFAULT_TOL,
     as_matrix,
     as_positive_vector,
+    as_square_matrix,
     pattern_threshold,
     readonly,
 )
@@ -146,6 +148,15 @@ def _dense(M) -> np.ndarray:
     return M.matrix if isinstance(M, StochasticMatrix) else as_matrix(M)
 
 
+def _dense_square(M, name: str = "matrix") -> np.ndarray:
+    if isinstance(M, StochasticMatrix):
+        arr = M.matrix
+        if arr.shape[0] != arr.shape[1]:
+            raise NotSquareError(f"{name} must be square, got {arr.shape}")
+        return arr
+    return as_square_matrix(M, name)
+
+
 def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Certify a matrix as row-stochastic within ``tol``.
 
@@ -193,12 +204,53 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
         raise NegativeEntryError("A must be non-negative")
     if low < 0.0:
         arr = np.where(arr < 0.0, 0.0, arr)
+    return validate_stochastic(_tilt(arr, uv), tol)
+
+
+def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Unchecked tilt of a non-negative array by a positive vector of matching length."""
     weights = arr @ uv
     if np.any(weights <= 0.0):
         i = int(np.argmin(weights))
         raise ZeroRowError(f"row {i} of A has no strictly positive entry")
-    tilted = arr * uv[None, :] / weights[:, None]
-    return validate_stochastic(tilted, tol)
+    return arr * uv[None, :] / weights[:, None]
+
+
+def _tilted_prefixes(arr: np.ndarray, uvs):
+    """Yield ``tilt(P, u_1) @ ... @ tilt(P, u_k)`` for k = 1..n; nothing is checked.
+
+    Rows are renormalized after every factor, the first included, so
+    stochasticity drift stays at rounding level over hundreds of factors.
+    """
+    prod = None
+    for uv in uvs:
+        factor = _tilt(arr, uv)
+        prod = factor if prod is None else prod @ factor
+        prod /= prod.sum(axis=1)[:, None]
+        yield prod
+
+
+def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
+    """Product ``tilt(P, u_1) @ ... @ tilt(P, u_n)`` of tilts of one square kernel.
+
+    Inputs are checked once: ``P`` is certified unless it already is a
+    :class:`StochasticMatrix`, and must be square; every ``u`` must be
+    strictly positive with one component per state.  The factors are then
+    multiplied unchecked, and only the final product is certified.
+    """
+    if not isinstance(P, StochasticMatrix):
+        P = validate_stochastic(P, tol)
+    arr = _dense_square(P, "P")
+    m = arr.shape[0]
+    uvs = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
+    if not uvs:
+        raise DimensionError("tilted_product needs at least one tilt vector")
+    for k, uv in enumerate(uvs):
+        if uv.shape[0] != m:
+            raise DimensionError(f"us[{k}] has length {uv.shape[0]}, expected {m}")
+    for prod in _tilted_prefixes(arr, uvs):
+        pass
+    return validate_stochastic(prod, tol)
 
 
 def rank1_sandwich(y, A, x) -> np.ndarray:
@@ -227,25 +279,23 @@ def zero_pattern(M, threshold: float | None = None) -> ZeroPattern:
     return ZeroPattern(arr > threshold)
 
 
-def _bfs_reaches_all(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = visited.copy()
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every state from state 0 along ``adj``; -1 if unreached."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
     while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~visited
-        visited |= nxt
-        frontier = nxt
-    return bool(visited.all())
+        depth += 1
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
 
 
 def is_irreducible(P: StochasticMatrix) -> bool:
     """True iff the positive-entry digraph of a square matrix is strongly connected."""
-    arr = _dense(P)
-    if arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(f"irreducibility needs a square matrix, got {arr.shape}")
-    adj = zero_pattern(arr).mask
-    return _bfs_reaches_all(adj) and _bfs_reaches_all(adj.T)
+    adj = zero_pattern(_dense_square(P, "P")).mask
+    return bool((_bfs_levels(adj) >= 0).all() and (_bfs_levels(adj.T) >= 0).all())
 
 
 def is_aperiodic(P: StochasticMatrix) -> bool:
@@ -255,29 +305,13 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
     the period as gcd of ``level[i] + 1 - level[j]`` over all edges (i, j);
     tree edges contribute 0 and leave the gcd unchanged.
     """
-    arr = _dense(P)
-    if arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(f"aperiodicity needs a square matrix, got {arr.shape}")
-    if not is_irreducible(P):
+    arr = _dense_square(P, "P")
+    if not is_irreducible(arr):
         raise NotIrreducibleError("aperiodicity is only defined for irreducible matrices")
     adj = zero_pattern(arr).mask
-    n = arr.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(adj[i]):
-            if level[j] < 0:
-                level[j] = level[i] + 1
-                queue.append(int(j))
-    g = 0
+    level = _bfs_levels(adj)
     rows, cols = np.nonzero(adj)
-    for i, j in zip(rows, cols):
-        g = math.gcd(g, abs(int(level[i]) + 1 - int(level[j])))
-        if g == 1:
-            return True
-    return g == 1
+    return bool(np.gcd.reduce(np.abs(level[rows] + 1 - level[cols])) == 1)
 
 
 def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
@@ -294,10 +328,7 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
     pairs = list(factors)
     if not pairs:
         raise DimensionError("normalize_product needs at least one (A, u) factor")
-    first_a = as_matrix(pairs[0][0], "A_1")
-    if first_a.shape[0] != first_a.shape[1]:
-        raise NotSquareError("normalize_product factors must be square")
-    m = first_a.shape[0]
+    m = as_square_matrix(pairs[0][0], "A_1").shape[0]
 
     log_scale = 0.0
     scale: np.ndarray | None = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import tilt, validate_stochastic
+from .core import _tilted_prefixes, tilted_product
 from .errors import PeriodicError
 from .reversible import (
     ReversibleChain,
@@ -21,7 +21,7 @@ from .reversible import (
     reversibility_defect,
     stationary_distribution,
 )
-from .spectral import bound_main, second_eigenvalue_modulus
+from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
 
 # Below this floor the recorded distances are rounding noise, not signal.
@@ -97,7 +97,9 @@ def converge_demo(
 
     The schedule is extended by repeating its last vector when shorter than
     ``n``.  The product is accumulated with per-step row renormalization so
-    stochasticity drift stays at rounding level over hundreds of steps.
+    stochasticity drift stays at rounding level over hundreds of steps.  The
+    schedule is validated once, and the bound curve is computed in one pass
+    as a running product over it.
     Raises :class:`PeriodicError` when the kernel's second eigenvalue modulus
     is 1 within 1e-9, since no convergence rate exists then.
     """
@@ -122,18 +124,12 @@ def converge_demo(
             "no convergence rate exists"
         )
 
-    P = chain.kernel.matrix
     errors = np.empty(n)
-    bound_curve = np.empty(n)
-    prod = None
     mu_k = np.asarray(chain.stationary, dtype=np.float64)
-    for k in range(n):
-        factor = tilt(P, schedule[k], tol).matrix
-        prod = factor.copy() if prod is None else prod @ factor
-        prod /= prod.sum(axis=1)[:, None]
+    for k, prod in enumerate(_tilted_prefixes(chain.kernel.matrix, schedule)):
         mu_k = _left_principal(prod, mu_k)
         errors[k] = float(np.abs(prod - mu_k[None, :]).max())
-        bound_curve[k] = bound_main(predicted, schedule[: k + 1])
+    bound_curve = _main_bound_curve(predicted, schedule)
 
     return ConvergenceReport(n, errors, _fit_rate(errors), predicted, bound_curve)
 
@@ -183,16 +179,10 @@ def conjecture_scan(
                 rng = np.random.default_rng(u_entropy)
                 us = [rng.uniform(1.0, 1.0 + u_spread, size=m) for _ in range(n)]
 
-                P = chain.kernel.matrix
-                prod = None
-                for u in us:
-                    factor = tilt(P, u, tol).matrix
-                    prod = factor.copy() if prod is None else prod @ factor
-                    prod /= prod.sum(axis=1)[:, None]
-                product = validate_stochastic(prod, tol)
+                product = tilted_product(chain.kernel, us, tol)
                 mu_actual = stationary_distribution(product, tol)
                 defect = reversibility_defect(product, mu_actual)
-                candidate = (P @ us[0]) * chain.stationary * us[-1]
+                candidate = (chain.kernel.matrix @ us[0]) * chain.stationary * us[-1]
                 candidate /= candidate.sum()
                 residual = float(np.abs(mu_actual - candidate).max())
                 trials.append(ConjectureTrial(m, n, chain_seed, defect, residual))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticMatrix, is_irreducible, tilt, validate_stochastic
+from .core import StochasticMatrix, _dense_square, is_irreducible, tilt, validate_stochastic
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -24,13 +24,7 @@ from .errors import (
     ZeroStationaryError,
 )
 from .spectral import general_spectrum
-from .validation import (
-    DEFAULT_TOL,
-    as_positive_vector,
-    as_square_matrix,
-    as_vector,
-    readonly,
-)
+from .validation import DEFAULT_TOL, as_positive_vector, as_vector, readonly
 
 _POWER_MAX_ITER = 100_000
 
@@ -81,9 +75,7 @@ def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     power iteration on the half-lazy transpose ``(P^T + I)/2``, whose fixed
     point is the same and which converges even for periodic chains.
     """
-    arr = P.matrix if isinstance(P, StochasticMatrix) else as_square_matrix(P, "P")
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"stationary distribution needs a square matrix, got {arr.shape}")
+    arr = _dense_square(P, "P")
     if not is_irreducible(arr):
         raise NotIrreducibleError("matrix is not irreducible; stationary distribution is not unique")
     n = arr.shape[0]
@@ -133,9 +125,7 @@ def _power_iteration_stationary(arr: np.ndarray, tol: float) -> np.ndarray:
 
 def reversibility_defect(P, mu) -> float:
     """Detailed-balance defect ``max_{i,j} |mu[i] P[i,j] - mu[j] P[j,i]|``."""
-    arr = P.matrix if isinstance(P, StochasticMatrix) else as_square_matrix(P, "P")
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"reversibility needs a square matrix, got {arr.shape}")
+    arr = _dense_square(P, "P")
     muv = as_vector(mu, "mu")
     if muv.shape[0] != arr.shape[0]:
         raise DimensionError(
@@ -158,8 +148,6 @@ def tilted_stationary(
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = as_positive_vector(u, "u")
-    if uv.shape[0] != chain.n_states:
-        raise DimensionError(f"u has length {uv.shape[0]}, expected {chain.n_states}")
     tilted = tilt(P, uv, tol)
     mu_u = uv * (P @ uv) * chain.stationary
     mu_u /= mu_u.sum()
@@ -181,9 +169,6 @@ def two_tilt_product(
     P = chain.kernel.matrix
     uv = as_positive_vector(u, "u")
     vv = as_positive_vector(v, "v")
-    for name, vec in (("u", uv), ("v", vv)):
-        if vec.shape[0] != chain.n_states:
-            raise DimensionError(f"{name} has length {vec.shape[0]}, expected {chain.n_states}")
     first = tilt(P, uv, tol)
     second = tilt(P, vv, tol)
     product = validate_stochastic(first.matrix @ second.matrix, tol)

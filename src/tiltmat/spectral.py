@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticMatrix
-from .errors import (
-    ConvergenceError,
-    LengthMismatchError,
-    NotSquareError,
-    NotSymmetricError,
-)
-from .validation import DEFAULT_TOL, as_matrix, as_positive_vector, as_square_matrix
+from .core import _dense_square
+from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
+from .validation import DEFAULT_TOL, as_matrix, as_positive_vector
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
@@ -69,15 +64,6 @@ class BoundReport:
         observed = float(observed_lambda2)
         bound = float(bound_value)
         return cls(observed, bound, observed <= bound + 1e-9, bound - observed)
-
-
-def _dense_square(M, name: str = "matrix") -> np.ndarray:
-    if isinstance(M, StochasticMatrix):
-        arr = M.matrix
-        if arr.shape[0] != arr.shape[1]:
-            raise NotSquareError(f"{name} must be square, got {arr.shape}")
-        return arr
-    return as_square_matrix(M, name)
 
 
 def _lapack(routine, arr: np.ndarray, **kwargs) -> np.ndarray:
@@ -245,8 +231,17 @@ def bound_main(lambda2_P: float, us) -> float:
     vectors = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
     if not vectors:
         raise ValueError("us must contain at least one vector")
-    value = float(lambda2_P) ** len(vectors)
-    for vec in vectors:
-        ratio = float(vec.max()) / float(vec.min())
-        value *= ratio ** 4
-    return value
+    return float(_main_bound_curve(lambda2_P, vectors)[-1])
+
+
+def _main_bound_curve(lambda2_P: float, vectors) -> np.ndarray:
+    """:func:`bound_main` of every prefix of an unchecked schedule, in one pass.
+
+    Entry k is ``lambda2**(k+1) * prod_{i<=k} (max u_i / min u_i)**4``.  The
+    powers are Python float ``**`` and the product is a sequential cumprod, so
+    entry k equals ``bound_main(lambda2_P, vectors[:k+1])`` bit for bit.
+    """
+    lam = float(lambda2_P)
+    factors = [(float(v.max()) / float(v.min())) ** 4 for v in vectors]
+    powers = [lam ** k for k in range(1, len(vectors) + 1)]
+    return np.array(powers) * np.cumprod(factors)

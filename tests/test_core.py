@@ -1,5 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tiltmat.core import (
     StochasticMatrix,
@@ -9,6 +14,7 @@ from tiltmat.core import (
     rank1_sandwich,
     tilt,
     tilt_detect,
+    tilted_product,
     validate_stochastic,
     zero_pattern,
 )
@@ -148,6 +154,69 @@ def test_tilt_preserves_zero_pattern_random():
         assert zero_pattern(tilt(A, u)) == zero_pattern(A)
 
 
+@st.composite
+def tilt_group_cases(draw):
+    """A non-negative matrix with a positive entry in every row, and two tilt vectors."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    A = draw(hnp.arrays(np.float64, (rows, cols), elements=entries))
+    A[A.max(axis=1) == 0.0, 0] = 1.0
+    vectors = hnp.arrays(np.float64, cols, elements=st.floats(0.01, 100.0))
+    return A, draw(vectors), draw(vectors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tilt_group_cases())
+def test_tilt_group_law(case):
+    A, u, v = case
+    twice = tilt(tilt(A, u), v).matrix
+    once = tilt(A, u * v).matrix
+    assert np.abs(twice - once).max() < 1e-12
+
+
+# ---------------------------------------------------------------- tilted_product
+
+
+def random_stochastic(rng, m, zero_frac=0.0):
+    P = random_nonneg(rng, m, m, zero_frac)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_tilted_product_matches_product_of_tilts(m):
+    rng = np.random.default_rng(100 + m)
+    P = random_stochastic(rng, m, zero_frac=0.3)
+    for n in range(1, 12):
+        us = [rng.uniform(0.2, 5.0, size=m) for _ in range(n)]
+        out = tilted_product(P, us)
+        assert isinstance(out, StochasticMatrix)
+        expected = functools.reduce(np.matmul, [tilt(P, u).matrix for u in us])
+        assert np.abs(out.matrix - expected).max() < 1e-12
+
+
+def test_tilted_product_single_factor_is_tilt():
+    rng = np.random.default_rng(14)
+    P = validate_stochastic(random_stochastic(rng, 5, zero_frac=0.3))
+    u = rng.uniform(0.2, 5.0, size=5)
+    assert np.abs(tilted_product(P, [u]).matrix - tilt(P, u).matrix).max() < 1e-15
+
+
+def test_tilted_product_input_errors():
+    P = [[0.5, 0.5], [0.25, 0.75]]
+    with pytest.raises(DimensionError):
+        tilted_product(P, [])
+    with pytest.raises(DimensionError):
+        tilted_product(P, [[1.0, 2.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(ZeroComponentError):
+        tilted_product(P, [[1.0, 0.0]])
+    wide = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+    with pytest.raises(NotSquareError):
+        tilted_product(wide, [[1.0, 1.0, 1.0]])
+    with pytest.raises(NotSquareError):
+        tilted_product(validate_stochastic(wide), [[1.0, 1.0, 1.0]])
+
+
 # ---------------------------------------------------------------- rank-1 sandwich
 
 
@@ -258,6 +327,43 @@ def test_structure_agrees_between_matrix_and_tilt():
         T = tilt(P, u)
         assert is_irreducible(P) == is_irreducible(T)
         assert is_aperiodic(P) == is_aperiodic(T)
+
+
+def bool_power(A, k):
+    """Boolean k-th power of a 0/1 pattern by repeated squaring."""
+    result = np.eye(A.shape[0], dtype=np.int64)
+    base = A.astype(np.int64)
+    while k:
+        if k & 1:
+            result = (result @ base > 0).astype(np.int64)
+        base = (base @ base > 0).astype(np.int64)
+        k >>= 1
+    return result.astype(bool)
+
+
+def random_irreducible_pattern(rng, m, period):
+    """Random strongly connected pattern whose edges only go from class c to c+1 mod period."""
+    classes = rng.permutation(np.arange(m) % period)
+    allowed = (classes[None, :] - classes[:, None] - 1) % period == 0
+    while True:
+        A = allowed & (rng.uniform(size=(m, m)) < 0.6)
+        if bool_power(A | np.eye(m, dtype=bool), m - 1).all():
+            return A
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_aperiodicity_matches_wielandt_primitivity(m):
+    # An irreducible A is aperiodic iff it is primitive, iff A^((m-1)^2+1) > 0
+    # (Wielandt); block-cyclic patterns with period >= 2 are never primitive.
+    rng = np.random.default_rng(200 + m)
+    periodic = 0
+    for trial in range(12):
+        period = 1 if trial % 2 == 0 else int(rng.integers(2, min(m, 4) + 1))
+        A = random_irreducible_pattern(rng, m, period)
+        primitive = bool(bool_power(A, (m - 1) ** 2 + 1).all())
+        assert is_aperiodic(A * rng.uniform(0.1, 1.0, size=(m, m))) == primitive
+        periodic += not primitive
+    assert 6 <= periodic < 12
 
 
 # ---------------------------------------------------------------- normalize_product

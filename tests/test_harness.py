@@ -5,6 +5,7 @@ from tiltmat import (
     NotReversibleError,
     PeriodicError,
     ReversibleChain,
+    bound_main,
     conjecture_scan,
     converge_demo,
     random_reversible,
@@ -35,6 +36,11 @@ def test_converge_decaying_schedule_matches_rate():
     schedule = [1.0 + 0.5 ** i * rng.uniform(0.0, 1.0, size=4) for i in range(1, 13)]
     report = converge_demo(chain, schedule, n=80)
     assert abs(report.fitted_rate - report.predicted_rate) < 0.05
+    extended = schedule + [schedule[-1]] * (80 - len(schedule))
+    assert all(
+        report.bound_curve[k] == bound_main(report.predicted_rate, extended[: k + 1])
+        for k in range(80)
+    )
 
 
 def test_converge_rank_one_kernel():
