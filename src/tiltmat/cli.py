@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -230,6 +231,8 @@ def _cmd_tilt_detect(args) -> str:
 def _cmd_converge(args) -> str:
     if args.steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
+    if not 0.0 <= args.spread < math.inf:
+        raise _UsageError(f"--spread must be finite and >= 0, got {args.spread}")
     chain = _chain_from_file(args.matrix, args.tol)
     m = chain.n_states
     if args.schedule == "ones":
@@ -479,8 +482,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.tol <= 0.0:
-        sys.stderr.write("usage error: --tol must be positive\n")
+    if not 0.0 < args.tol < math.inf:
+        sys.stderr.write("usage error: --tol must be positive and finite\n")
         return 2
     try:
         text = args.handler(args)

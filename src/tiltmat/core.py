@@ -13,7 +13,6 @@ relation between two stochastic matrices.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NegativeEntryError,
+    NonFiniteError,
     NotIrreducibleError,
     NotSquareError,
     PatternMismatchError,
@@ -29,10 +29,10 @@ from .errors import (
 )
 from .validation import (
     DEFAULT_TOL,
+    PATTERN_REL_THRESHOLD,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
-    pattern_threshold,
     readonly,
 )
 
@@ -163,26 +163,39 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     Entries in ``[-tol, 0)`` are treated as floating-point dust: they are
     clamped to zero and the affected row is renormalized.  Entries below
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
-    ``tol`` raises :class:`RowSumError`.
+    ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    arr = as_matrix(M)
+    return StochasticMatrix(_certify(as_matrix(M), tol), tol)
+
+
+def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
+    """The checks of :func:`validate_stochastic` on a matrix or a stack ``(..., r, c)``.
+
+    Returns ``arr``, or a copy with its dust clamped.  Messages locate the
+    entry or row within its matrix; a caller passing a stack names the slice.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("matrix contains NaN or infinite entries")
     low = float(arr.min())
     if low < -tol:
-        i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntryError(f"entry ({i},{j}) = {arr[i, j]!r} is below -tol")
-    row_sums = arr.sum(axis=1)
+        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
+        i, j = idx[-2:]
+        raise NegativeEntryError(f"entry ({i},{j}) = {float(arr[idx])!r} is below -tol")
+    row_sums = arr.sum(axis=-1)
     dev = np.abs(row_sums - 1.0)
     if np.any(dev > tol):
-        i = int(np.argmax(dev))
-        raise RowSumError(f"row {i} sums to {row_sums[i]!r}, off by more than tol={tol}")
+        idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise RowSumError(
+            f"row {idx[-1]} sums to {float(row_sums[idx])!r}, off by more than tol={tol}"
+        )
     if low < 0.0:
         arr = arr.copy()
-        dusty = (arr < 0.0).any(axis=1)
+        dusty = (arr < 0.0).any(axis=-1)
         arr[arr < 0.0] = 0.0
-        arr[dusty] /= arr[dusty].sum(axis=1, keepdims=True)
-    return StochasticMatrix(arr, tol)
+        arr[dusty] /= arr[dusty].sum(axis=-1, keepdims=True)
+    return arr
 
 
 def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
@@ -208,25 +221,30 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
 
 
 def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Unchecked tilt of a non-negative array by a positive vector of matching length."""
-    weights = arr @ uv
+    """Unchecked tilt of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``."""
+    weights = (arr @ uv[..., None])[..., 0]
     if np.any(weights <= 0.0):
-        i = int(np.argmin(weights))
-        raise ZeroRowError(f"row {i} of A has no strictly positive entry")
-    return arr * uv[None, :] / weights[:, None]
+        idx = np.unravel_index(int(np.argmin(weights)), weights.shape)
+        raise ZeroRowError(f"row {idx[-1]} of A has no strictly positive entry")
+    return arr * uv[..., None, :] / weights[..., :, None]
 
 
 def _tilted_prefixes(arr: np.ndarray, uvs):
     """Yield ``tilt(P, u_1) @ ... @ tilt(P, u_k)`` for k = 1..n; nothing is checked.
 
+    ``arr`` is one matrix with vectors ``u`` of shape ``(m,)``, or a stack
+    ``(k, m, m)`` with ``u`` of shape ``(k_j, m)``, k_j never increasing: a
+    step then continues only the last k_j products, so cells sorted by
+    product length drop out from the front of the stack as they finish.
     Rows are renormalized after every factor, the first included, so
     stochasticity drift stays at rounding level over hundreds of factors.
     """
     prod = None
     for uv in uvs:
-        factor = _tilt(arr, uv)
-        prod = factor if prod is None else prod @ factor
-        prod /= prod.sum(axis=1)[:, None]
+        # On one matrix len(arr) == len(uv) == m and the slices keep everything.
+        factor = _tilt(arr[len(arr) - len(uv):], uv)
+        prod = factor if prod is None else prod[len(prod) - len(uv):] @ factor
+        prod /= prod.sum(axis=-1)[..., None]
         yield prod
 
 
@@ -273,29 +291,46 @@ def zero_pattern(M, threshold: float | None = None) -> ZeroPattern:
     """
     arr = _dense(M)
     if threshold is None:
-        threshold = pattern_threshold(arr)
+        return ZeroPattern(_support(arr))
     if threshold < 0.0:
         raise ValueError("threshold must be non-negative")
     return ZeroPattern(arr > threshold)
 
 
+def _support(arr: np.ndarray) -> np.ndarray:
+    """Support mask of a matrix or a stack, each matrix cut at its own scale."""
+    return arr > PATTERN_REL_THRESHOLD * np.abs(arr).max(axis=(-2, -1), keepdims=True)
+
+
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
-    """Breadth-first level of every state from state 0 along ``adj``; -1 if unreached."""
-    level = np.full(adj.shape[0], -1, dtype=np.int64)
-    level[0] = 0
+    """Breadth-first level of every state from state 0; -1 if unreached.
+
+    ``adj`` is one boolean adjacency matrix or a stack ``(..., m, m)``.
+    """
+    flat = adj.reshape(-1, *adj.shape[-2:])
+    level = np.full(flat.shape[:-1], -1, dtype=np.int64)
+    level[:, 0] = 0
     frontier = level == 0
     depth = 0
     while frontier.any():
         depth += 1
-        frontier = adj[frontier].any(axis=0) & (level < 0)
+        # Read only rows on some matrix's frontier: O(|frontier| m) for one matrix.
+        rows = np.flatnonzero(frontier.any(axis=0))
+        frontier = (frontier[:, rows, None] & flat[:, rows]).any(axis=1) & (level < 0)
         level[frontier] = depth
-    return level
+    return level.reshape(adj.shape[:-1])
+
+
+def _strongly_connected(arr: np.ndarray) -> np.ndarray:
+    """Per matrix of ``arr`` ``(..., m, m)``: is its support digraph strongly connected."""
+    adj = _support(arr)
+    both = np.stack((adj, np.swapaxes(adj, -1, -2)))  # reached from 0, and reaching 0
+    return (_bfs_levels(both) >= 0).all(axis=(0, -1))
 
 
 def is_irreducible(P: StochasticMatrix) -> bool:
     """True iff the positive-entry digraph of a square matrix is strongly connected."""
-    adj = zero_pattern(_dense_square(P, "P")).mask
-    return bool((_bfs_levels(adj) >= 0).all() and (_bfs_levels(adj.T) >= 0).all())
+    return bool(_strongly_connected(_dense_square(P, "P")))
 
 
 def is_aperiodic(P: StochasticMatrix) -> bool:
@@ -384,21 +419,21 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(support, np.log(a1) - np.log(a2), 0.0)
     row_off[0] = 0.0
-    rows_todo: deque[int] = deque([0])
-    cols_todo: deque[int] = deque()
-    while rows_todo or cols_todo:
-        while rows_todo:
-            i = rows_todo.popleft()
-            for j in np.flatnonzero(support[i]):
-                if np.isnan(col_off[j]):
-                    col_off[j] = log_ratio[i, j] - row_off[i]
-                    cols_todo.append(int(j))
-        while cols_todo:
-            j = cols_todo.popleft()
-            for i in np.flatnonzero(support[:, j]):
-                if np.isnan(row_off[i]):
-                    row_off[i] = log_ratio[i, j] - col_off[j]
-                    rows_todo.append(int(i))
+    rows = np.array([0])
+    while rows.size:
+        # Offsets spread one level at a time: every column first reached from
+        # this level of rows takes its offset from the lowest such row, and
+        # likewise every row first reached from the new columns.
+        reach = support[rows]
+        cols = np.flatnonzero(reach.any(axis=0) & np.isnan(col_off))
+        if not cols.size:
+            break
+        parents = rows[reach[:, cols].argmax(axis=0)]
+        col_off[cols] = log_ratio[parents, cols] - row_off[parents]
+        reach = support[:, cols]
+        rows = np.flatnonzero(reach.any(axis=1) & np.isnan(row_off))
+        parents = cols[reach[rows].argmax(axis=1)]
+        row_off[rows] = log_ratio[rows, parents] - col_off[parents]
     if np.isnan(col_off).any() or np.isnan(row_off).any():
         return TiltDetection(None, "support-disconnected")
 

@@ -9,23 +9,23 @@ products; it records residuals and never asserts the answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _tilted_prefixes, tilted_product
-from .errors import PeriodicError
-from .reversible import (
-    ReversibleChain,
-    random_reversible,
-    reversibility_defect,
-    stationary_distribution,
-)
+from .core import _certify, _tilted_prefixes
+from .errors import PeriodicError, TiltmatError
+from .reversible import ReversibleChain, _defect, _reversible_weights, _stationary
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
 
 # Below this floor the recorded distances are rounding noise, not signal.
 _ERROR_FLOOR = 1e-13
+
+# Size of one (k, m, m) float64 stack in a conjecture scan pass; larger grids
+# run in several passes, so memory stays flat however many cells are scanned.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,17 @@ def conjecture_scan(
     claim is made about either, the numbers are the result.
 
     Every trial's randomness derives from ``(base_seed, m, n, trial)`` alone,
-    so identical arguments reproduce identical reports.
+    so identical arguments reproduce identical reports.  The cells of one m
+    are computed together as one stack (in several passes when the stack
+    would pass a fixed size), with results bit-identical to computing each
+    trial on its own; a failing cell's error is re-raised naming the cell.
     """
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
     if base_seed < 0:
         raise ValueError(f"base_seed must be >= 0, got {base_seed}")
-    if u_spread < 0.0:
-        raise ValueError(f"u_spread must be >= 0, got {u_spread}")
+    if not 0.0 <= u_spread < math.inf:
+        raise ValueError(f"u_spread must be finite and >= 0, got {u_spread}")
     ms = sorted({int(m) for m in m_range})
     ns = sorted({int(n) for n in n_range})
     if not ms or min(ms) < 1:
@@ -170,20 +173,80 @@ def conjecture_scan(
 
     trials = []
     for m in ms:
-        for n in ns:
-            for t in range(trials_per_cell):
-                root = np.random.SeedSequence((base_seed, m, n, t))
-                chain_entropy, u_entropy = root.spawn(2)
-                chain_seed = int(chain_entropy.generate_state(1, np.uint64)[0])
-                chain = random_reversible(m, chain_seed, 0.0)
-                rng = np.random.default_rng(u_entropy)
-                us = [rng.uniform(1.0, 1.0 + u_spread, size=m) for _ in range(n)]
-
-                product = tilted_product(chain.kernel, us, tol)
-                mu_actual = stationary_distribution(product, tol)
-                defect = reversibility_defect(product, mu_actual)
-                candidate = (chain.kernel.matrix @ us[0]) * chain.stationary * us[-1]
-                candidate /= candidate.sum()
-                residual = float(np.abs(mu_actual - candidate).max())
-                trials.append(ConjectureTrial(m, n, chain_seed, defect, residual))
+        cells = [(n, t) for n in ns for t in range(trials_per_cell)]
+        per_pass = max(1, _STACK_BYTES // (8 * m * m))
+        for start in range(0, len(cells), per_pass):
+            trials += _scan_cells(m, cells[start : start + per_pass], base_seed, u_spread, tol)
     return trials
+
+
+def _scan_cells(m, cells, base_seed, u_spread, tol) -> list[ConjectureTrial]:
+    """Draw the (n, trial) cells of one m, sorted by n, and scan them as one stack."""
+    seeds, weights, us = [], [], []
+    for n, t in cells:
+        # The two children that SeedSequence((base_seed, m, n, t)).spawn(2)
+        # returns, built directly.
+        chain_entropy, u_entropy = (
+            np.random.SeedSequence((base_seed, m, n, t), spawn_key=(child,))
+            for child in (0, 1)
+        )
+        seeds.append(int(chain_entropy.generate_state(1, np.uint64)[0]))
+        weights.append(_reversible_weights(m, seeds[-1], 0.0))
+        rng = np.random.default_rng(u_entropy)
+        us.append(rng.uniform(1.0, 1.0 + u_spread, size=(n, m)))
+    try:
+        defects, residuals = _scan_stack(np.stack(weights), us, tol)
+    except TiltmatError:
+        # Name the first failing cell, with the error its own pass raises.
+        for (n, t), w, u in zip(cells, weights, us):
+            try:
+                _scan_stack(w[None], [u], tol)
+            except TiltmatError as exc:
+                raise type(exc)(f"cell m={m}, n={n}, trial={t}: {exc}") from exc
+        raise
+    return [
+        ConjectureTrial(m, n, seed, float(defect), float(residual))
+        for (n, _), seed, defect, residual in zip(cells, seeds, defects, residuals)
+    ]
+
+
+def _scan_stack(weights: np.ndarray, us, tol: float):
+    """Defects and candidate residuals of k cells: weights ``(k, m, m)``, ``us[c]`` ``(n_c, m)``.
+
+    The steps of :func:`random_reversible`, :func:`tilted_product`,
+    :func:`stationary_distribution` and :func:`reversibility_defect`, each on
+    the whole stack, with the same checks.  ``us`` is sorted by length.
+    """
+    k, m = weights.shape[:2]
+    lengths = np.array([len(u) for u in us])
+    row_mass = weights.sum(axis=-1)
+    kernel = _certify(weights / row_mass[..., None], DEFAULT_TOL)
+    mu = row_mass / row_mass.sum(axis=-1, keepdims=True)
+    tilts = np.ones((k, lengths[-1], m))
+    for c, u in enumerate(us):
+        tilts[c, : len(u)] = u
+    as_positive_vector(tilts.reshape(-1), "us")
+
+    # Step j continues the cells with more than j factors, a suffix of the stack.
+    starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1), side="right")
+    steps = (tilts[starts[j] :, j] for j in range(lengths[-1]))
+    products = np.empty_like(kernel)
+    for j, prod in enumerate(_tilted_prefixes(kernel, steps)):
+        products[starts[j] : starts[j + 1]] = prod[: starts[j + 1] - starts[j]]
+    products = _certify(products, tol)
+    mu_actual = _stationary(products, tol)
+
+    first = _unit_scaled(tilts[:, 0])
+    last = _unit_scaled(tilts[np.arange(k), lengths - 1])
+    candidate = (kernel @ first[..., None])[..., 0] * mu * last
+    candidate /= candidate.sum(axis=-1, keepdims=True)
+    return _defect(products, mu_actual), np.abs(mu_actual - candidate).max(axis=-1)
+
+
+def _unit_scaled(u: np.ndarray) -> np.ndarray:
+    """``u`` times the power of two that puts its largest component in [0.5, 1).
+
+    The scaling is exact, so it cancels in a normalization bit for bit while
+    keeping products of huge tilt components finite.
+    """
+    return np.ldexp(u, -np.frexp(u.max(axis=-1, keepdims=True))[1])

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticMatrix, _dense_square, is_irreducible, tilt, validate_stochastic
+from .core import (
+    StochasticMatrix,
+    _dense_square,
+    _strongly_connected,
+    tilt,
+    validate_stochastic,
+)
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -75,34 +81,49 @@ def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     power iteration on the half-lazy transpose ``(P^T + I)/2``, whose fixed
     point is the same and which converges even for periodic chains.
     """
-    arr = _dense_square(P, "P")
-    if not is_irreducible(arr):
+    return readonly(_stationary(_dense_square(P, "P"), tol))
+
+
+def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`stationary_distribution` of one matrix or of each matrix of a stack.
+
+    Every slice is solved, gated and, if need be, power-iterated on its own,
+    so no slice changes another slice's result.
+    """
+    if not _strongly_connected(arr).all():
         raise NotIrreducibleError("matrix is not irreducible; stationary distribution is not unique")
-    n = arr.shape[0]
+    n = arr.shape[-1]
     if n == 1:
-        return readonly(np.array([1.0]))
+        return np.ones(arr.shape[:-1])
 
-    system = arr.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    mu = None
+    system = np.swapaxes(arr, -1, -2) - np.eye(n)
+    system[..., -1, :] = 1.0
+    rhs = np.zeros(arr.shape[:-1] + (1,))
+    rhs[..., -1, 0] = 1.0
     try:
-        candidate = np.linalg.solve(system, rhs)
+        mu = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        candidate = None
-    if candidate is not None and candidate.min() > 0.0:
-        candidate /= candidate.sum()
-        if _stationary_residual(arr, candidate) <= tol:
-            mu = candidate
+        # One singular slice fails the whole stack: solve slice by slice.
+        mu = np.full(arr.shape[:-1], np.nan)
+        for idx in np.ndindex(arr.shape[:-2]):
+            try:
+                mu[idx] = np.linalg.solve(system[idx], rhs[idx])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ok = mu.min(axis=-1) > 0.0
+        mu /= mu.sum(axis=-1, keepdims=True)
+        ok &= _stationary_residual(arr, mu) <= tol
+    if not ok.all():
+        for idx in np.ndindex(ok.shape):
+            if not ok[idx]:
+                mu[idx] = _power_iteration_stationary(arr[idx], tol)
+    return mu
 
-    if mu is None:
-        mu = _power_iteration_stationary(arr, tol)
-    return readonly(mu)
 
-
-def _stationary_residual(arr: np.ndarray, mu: np.ndarray) -> float:
-    return float(np.abs(mu @ arr - mu).max())
+def _stationary_residual(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``max |mu P - mu|`` per matrix of a stack, for ``mu`` of shape ``(..., m)``."""
+    return np.abs((mu[..., None, :] @ arr)[..., 0, :] - mu).max(axis=-1)
 
 
 def _power_iteration_stationary(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -116,10 +137,9 @@ def _power_iteration_stationary(arr: np.ndarray, tol: float) -> np.ndarray:
             x = y
             break
         x = y
-    if x.min() <= 0.0 or _stationary_residual(arr, x) > tol:
-        raise ConvergenceError(
-            f"power iteration residual {_stationary_residual(arr, x)!r} above tol={tol!r}"
-        )
+    residual = float(_stationary_residual(arr, x))
+    if x.min() <= 0.0 or residual > tol:
+        raise ConvergenceError(f"power iteration residual {residual!r} above tol={tol!r}")
     return x
 
 
@@ -131,8 +151,13 @@ def reversibility_defect(P, mu) -> float:
         raise DimensionError(
             f"mu has length {muv.shape[0]}, expected {arr.shape[0]}"
         )
-    flow = muv[:, None] * arr
-    return float(np.abs(flow - flow.T).max())
+    return float(_defect(arr, muv))
+
+
+def _defect(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """:func:`reversibility_defect` per matrix of ``arr`` ``(..., m, m)``, ``mu`` ``(..., m)``."""
+    flow = mu[..., :, None] * arr
+    return np.abs(flow - np.swapaxes(flow, -1, -2)).max(axis=(-2, -1))
 
 
 def tilted_stationary(
@@ -194,7 +219,7 @@ def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:
     mu = chain.stationary
     if mu.min() <= 0.0:
         worst = int(np.argmin(mu))
-        raise ZeroStationaryError(f"stationary component {worst} is {mu[worst]!r}")
+        raise ZeroStationaryError(f"stationary component {worst} is {float(mu[worst])!r}")
     root = np.sqrt(mu)
     return root[:, None] * chain.kernel.matrix / root[None, :]
 
@@ -213,6 +238,15 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    weights = _reversible_weights(m, seed, sparsity)
+    row_mass = weights.sum(axis=1)
+    kernel = validate_stochastic(weights / row_mass[:, None])
+    mu = row_mass / row_mass.sum()
+    return ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+
+
+def _reversible_weights(m: int, seed: int, sparsity: float) -> np.ndarray:
+    """The random symmetric weights behind :func:`random_reversible`; arguments unchecked."""
     rng = np.random.default_rng(seed)
     weights = rng.uniform(size=(m, m))
     weights = 0.5 * (weights + weights.T)
@@ -234,8 +268,4 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
                 continue
             weights[i, j] = 0.0
             weights[j, i] = 0.0
-
-    row_mass = weights.sum(axis=1)
-    kernel = validate_stochastic(weights / row_mass[:, None])
-    mu = row_mass / row_mass.sum()
-    return ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+    return weights

@@ -126,7 +126,7 @@ def _drop_principal(values: np.ndarray) -> float:
     principal = int(np.argmin(distances))
     if distances[principal] > 1e-6:
         raise ConvergenceError(
-            f"no eigenvalue within 1e-6 of 1 (closest is {values[principal]!r}); "
+            f"no eigenvalue within 1e-6 of 1 (closest is {complex(values[principal])!r}); "
             "input does not look stochastic"
         )
     rest = np.delete(values, principal)
@@ -238,10 +238,23 @@ def _main_bound_curve(lambda2_P: float, vectors) -> np.ndarray:
     """:func:`bound_main` of every prefix of an unchecked schedule, in one pass.
 
     Entry k is ``lambda2**(k+1) * prod_{i<=k} (max u_i / min u_i)**4``.  The
-    powers are Python float ``**`` and the product is a sequential cumprod, so
-    entry k equals ``bound_main(lambda2_P, vectors[:k+1])`` bit for bit.
+    powers are Python float ``**`` and the product is a running product in
+    schedule order, so entry k equals ``bound_main(lambda2_P, vectors[:k+1])``
+    bit for bit.  Once the product of ratios overflows, the bound is vacuous
+    and reads inf, also where ``lambda2**(k+1)`` is 0.
     """
     lam = float(lambda2_P)
-    factors = [(float(v.max()) / float(v.min())) ** 4 for v in vectors]
-    powers = [lam ** k for k in range(1, len(vectors) + 1)]
-    return np.array(powers) * np.cumprod(factors)
+    curve = []
+    spread = 1.0
+    for k, v in enumerate(vectors, start=1):
+        spread *= _power(float(v.max()) / float(v.min()), 4)
+        curve.append(math.inf if spread == math.inf else _power(lam, k) * spread)
+    return np.array(curve)
+
+
+def _power(x: float, k: int) -> float:
+    """Python float ``x ** k`` that overflows to inf instead of raising."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf

@@ -61,7 +61,7 @@ def as_positive_vector(values, name: str = "vector") -> np.ndarray:
     if np.any(arr <= 0.0):
         worst = int(np.argmin(arr))
         raise ZeroComponentError(
-            f"{name} must be strictly positive; component {worst} is {arr[worst]!r}"
+            f"{name} must be strictly positive; component {worst} is {float(arr[worst])!r}"
         )
     return arr
 

@@ -366,6 +366,54 @@ def test_nonpositive_tol_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["stationary", "--matrix", mat, "--tol", "0"])
     assert code == 2
     assert "tol" in err
+    # a non-finite tol used to certify [[1,2],[3,4]] as stochastic
+    bad = write(tmp_path / "bad.csv", "1,2\n3,4\n")
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, ["stationary", "--matrix", bad, "--tol", tol])
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tol must be positive and finite\n"
+
+
+def test_non_finite_or_negative_spread_is_usage_error(tmp_path, capsys):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    for spread in ("inf", "nan"):
+        code, out, err = run(capsys, ["conjecture-scan", "--spread", spread])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: u_spread must be finite and >= 0")
+    for spread in ("inf", "nan", "-1"):
+        argv = ["converge", "--matrix", mat, "--schedule", "decaying", "--spread", spread]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --spread must be finite and >= 0")
+
+
+def test_extreme_tilt_spreads_stay_finite(tmp_path, capsys):
+    code, out, err = run(capsys, ["conjecture-scan", "--spread", "1e308"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert rows and all(np.isfinite(float(row[4])) for row in rows)
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1.0\n1e100\n")
+    code, out, err = run(capsys, ["bounds", "--matrix", mat, "--vector", vec])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "main,8.999999999999999e-100,inf,true,inf"
+
+
+def test_error_messages_print_plain_floats(tmp_path, capsys):
+    cases = [
+        ("1,2\n3,4\n", "RowSumError: row 1 sums to 7.0, off by more than tol=1e-09\n"),
+        ("0.5,-0.5,1.0\n0.2,0.3,0.5\n0.1,0.1,0.8\n",
+         "NegativeEntryError: entry (0,1) = -0.5 is below -tol\n"),
+    ]
+    for text, expected in cases:
+        mat = write(tmp_path / "m.csv", text)
+        code, out, err = run(capsys, ["stationary", "--matrix", mat])
+        assert (code, out, err) == (1, "", expected)
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1.0\n0.0\n")
+    code, _, err = run(capsys, ["tilt", "--matrix", mat, "--vector", vec])
+    expected = "ZeroComponentError: u must be strictly positive; component 1 is 0.0\n"
+    assert (code, err) == (1, expected)
 
 
 def test_argparse_failures_exit_2(capsys):

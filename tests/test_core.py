@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tiltmat import core
 from tiltmat.core import (
     StochasticMatrix,
     is_aperiodic,
@@ -18,6 +19,7 @@ from tiltmat.core import (
     validate_stochastic,
     zero_pattern,
 )
+from tiltmat.reversible import random_reversible
 from tiltmat.errors import (
     DimensionError,
     NegativeEntryError,
@@ -88,6 +90,9 @@ def test_validate_matrix_is_frozen():
 def test_validate_requires_positive_tol():
     with pytest.raises(ValueError):
         validate_stochastic([[1.0]], tol=0.0)
+    for tol in (-1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            validate_stochastic([[1.0]], tol=tol)
 
 
 # ---------------------------------------------------------------- tilt
@@ -492,3 +497,51 @@ def test_tilt_detect_round_trip_random():
 def test_tilt_detect_shape_mismatch():
     with pytest.raises(DimensionError):
         tilt_detect(np.ones((1, 2)) / 2.0, np.ones((2, 2)) / 2.0)
+
+
+@pytest.mark.parametrize("m", [2, 5, 16, 33, 64])
+@pytest.mark.parametrize("sparsity", [0.0, 0.8])
+def test_tilt_detect_recovers_u_dense_and_sparse(m, sparsity):
+    rng = np.random.default_rng(m)
+    for seed in range(4):
+        P = random_reversible(m, seed, sparsity).kernel
+        u = rng.uniform(0.1, 10.0, size=m)
+        found = tilt_detect(tilt(P, u), P)
+        assert found.reason == "ok"
+        assert np.abs(found.factor - u / u.max()).max() <= 1e-12
+
+
+# ---------------------------------------------------------------- stacks
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_stack_kernels_match_single_matrix(m):
+    rng = np.random.default_rng(m)
+    stack = np.stack([random_nonneg(rng, m, m, zero_frac=0.6) for _ in range(8)])
+    stack[0] = np.eye(m)
+    stack /= stack.sum(axis=-1, keepdims=True)
+    # dust below zero on some rows exercises the clamp
+    stack[::3, :, 0] -= 1e-12 * (stack[::3, :, 0] == 0.0)
+    certified = core._certify(stack, 1e-9)
+    connected = core._strongly_connected(stack)
+    for arr, cert, conn in zip(stack, certified, connected):
+        assert np.array_equal(cert, validate_stochastic(arr).matrix)
+        assert conn == is_irreducible(arr)
+    assert connected[0] == (m == 1) and connected[1:].any()
+    us = rng.uniform(0.5, 2.0, size=(len(stack), m))
+    tilts = core._tilt(certified, us)
+    for arr, u, tilted in zip(certified, us, tilts):
+        assert np.array_equal(tilted, tilt(arr, u).matrix)
+
+
+def test_certify_stack_errors_locate_within_matrix():
+    stack = np.stack([np.eye(3), np.eye(3)])
+    stack[1, 2, 0] = 0.5
+    with pytest.raises(RowSumError, match=r"^row 2 sums to 1\.5, "):
+        core._certify(stack, 1e-9)
+    stack[1, 2, 0] = -0.5
+    with pytest.raises(NegativeEntryError, match=r"^entry \(2,0\) = -0\.5 is below -tol$"):
+        core._certify(stack, 1e-9)
+    stack[1, 2, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        core._certify(stack, 1e-9)

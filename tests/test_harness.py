@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from tiltmat import (
+    ConjectureTrial,
+    NonFiniteError,
+    NotIrreducibleError,
     NotReversibleError,
     PeriodicError,
     ReversibleChain,
@@ -9,7 +12,12 @@ from tiltmat import (
     conjecture_scan,
     converge_demo,
     random_reversible,
+    reversibility_defect,
+    stationary_distribution,
+    tilted_product,
+    validate_stochastic,
 )
+from tiltmat import harness
 
 THREE_CYCLE = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
@@ -168,3 +176,89 @@ def test_scan_input_errors():
         conjecture_scan([], [1], trials_per_cell=1)
     with pytest.raises(ValueError):
         conjecture_scan([0, 2], [1], trials_per_cell=1)
+
+
+def per_trial_scan(m_range, n_range, trials_per_cell, base_seed=0, u_spread=1.0, tol=1e-9):
+    """The scan one trial at a time through the public functions."""
+    trials = []
+    for m in sorted(set(m_range)):
+        for n in sorted(set(n_range)):
+            for t in range(trials_per_cell):
+                root = np.random.SeedSequence((base_seed, m, n, t))
+                chain_entropy, u_entropy = root.spawn(2)
+                chain_seed = int(chain_entropy.generate_state(1, np.uint64)[0])
+                chain = random_reversible(m, chain_seed, 0.0)
+                rng = np.random.default_rng(u_entropy)
+                us = [rng.uniform(1.0, 1.0 + u_spread, size=m) for _ in range(n)]
+                product = tilted_product(chain.kernel, us, tol)
+                mu = stationary_distribution(product, tol)
+                defect = reversibility_defect(product, mu)
+                candidate = (chain.kernel.matrix @ us[0]) * chain.stationary * us[-1]
+                candidate /= candidate.sum()
+                residual = float(np.abs(mu - candidate).max())
+                trials.append(ConjectureTrial(m, n, chain_seed, defect, residual))
+    return trials
+
+
+@pytest.mark.parametrize("base_seed", [0, 7, 123456789])
+@pytest.mark.parametrize("u_spread", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("trials_per_cell", [1, 3])
+def test_scan_matches_per_trial_bit_for_bit(base_seed, u_spread, trials_per_cell):
+    args = (range(1, 10), range(1, 8), trials_per_cell, base_seed, u_spread)
+    assert conjecture_scan(*args) == per_trial_scan(*args)
+
+
+def test_scan_across_stack_passes_matches_per_trial():
+    m, ns, trials_per_cell = 40, range(1, 4), 30
+    per_pass = harness._STACK_BYTES // (8 * m * m)
+    assert per_pass < len(ns) * trials_per_cell < 2 * per_pass
+    args = ([m], ns, trials_per_cell, 3, 2.0)
+    assert conjecture_scan(*args) == per_trial_scan(*args)
+
+
+def reducible_weights(m, seed, sparsity):
+    weights = np.ones((m, m))
+    weights[: m // 2, m // 2 :] = weights[m // 2 :, : m // 2] = 0.0
+    return weights
+
+
+def zero_row_weights(m, seed, sparsity):
+    weights = np.ones((m, m))
+    weights[1] = weights[:, 1] = 0.0
+    return weights
+
+
+@pytest.mark.parametrize(
+    "bad_weights, error",
+    [(reducible_weights, NotIrreducibleError), (zero_row_weights, NonFiniteError)],
+)
+def test_scan_failing_cell_is_named(monkeypatch, bad_weights, error):
+    # one cell draws a kernel the per-trial path rejects with `error`
+    target = conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)[3]
+    assert target.n == 2
+    draw = harness._reversible_weights
+    def patched(m, seed, sparsity):
+        return (bad_weights if seed == target.seed else draw)(m, seed, sparsity)
+
+    monkeypatch.setattr(harness, "_reversible_weights", patched)
+    weights = bad_weights(4, target.seed, 0.0)
+    with np.errstate(invalid="ignore"), pytest.raises(error) as caught:
+        conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)
+    assert str(caught.value).startswith("cell m=4, n=2, trial=1: ")
+    with np.errstate(invalid="ignore"), pytest.raises(error):
+        kernel = validate_stochastic(weights / weights.sum(axis=1)[:, None])
+        stationary_distribution(tilted_product(kernel, [np.full(4, 1.5)] * 2))
+
+
+def test_scan_extreme_spread_stays_finite():
+    # tilt components near 1e308 overflowed the candidate to inf/inf = nan
+    trials = conjecture_scan(range(2, 6), range(1, 4), trials_per_cell=2, u_spread=1e308)
+    assert all(np.isfinite(t.defect) and np.isfinite(t.candidate_residual) for t in trials)
+    assert all(t.candidate_residual <= 1e-9 for t in trials if t.n <= 2)
+
+
+@pytest.mark.parametrize("u_spread", [np.inf, np.nan])
+def test_scan_rejects_non_finite_spread(u_spread):
+    with pytest.raises(ValueError):
+        conjecture_scan([2], [1], trials_per_cell=1, u_spread=u_spread)
+

@@ -18,7 +18,9 @@ from tiltmat import (
     tilted_stationary,
     two_tilt_product,
     validate_stochastic,
+    ZeroStationaryError,
 )
+from tiltmat import reversible
 
 THREE_CYCLE = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
@@ -302,3 +304,52 @@ def test_power_iteration_fallback_matches_periodic_case():
     mu = stationary_distribution(P)
     assert np.allclose(mu, [0.5, 0.5], atol=1e-12)
     assert np.abs(mu @ P - mu).max() < 1e-15
+
+
+def test_stationary_stack_falls_back_per_slice(monkeypatch):
+    rng = np.random.default_rng(31)
+    good = [random_chain_kernel(rng, 2) for _ in range(3)]
+    # rows (P^T - I)[0] and (1, 1) coincide up to scale: LAPACK gesv reports
+    # a singular system, which fails the solve of the whole stack
+    singular = np.array([[1.25, 0.25], [0.25, 0.75]])
+    # the direct solve gives (1, 0), which the positivity gate rejects
+    gated = np.array([[1.0, 1e-13], [0.5, 0.5]])
+    stack = np.stack([good[0], singular, good[1], gated, good[2]])
+    # loose enough that the non-stochastic singular slice passes its gate
+    tol = 1.0
+    fell_back = []
+    power = reversible._power_iteration_stationary
+
+    def spy(arr, tol):
+        fell_back.append(arr.copy())
+        return power(arr, tol)
+
+    monkeypatch.setattr(reversible, "_power_iteration_stationary", spy)
+    mus = reversible._stationary(stack, tol)
+    assert len(fell_back) == 2
+    assert np.array_equal(fell_back[0], singular) and np.array_equal(fell_back[1], gated)
+    for arr, mu in zip(stack, mus):
+        assert np.array_equal(mu, stationary_distribution(arr, tol))
+    assert np.array_equal(mus[[0, 2, 4]], reversible._stationary(np.stack(good), tol))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_stationary_and_defect_stacks_match_single_matrix(m):
+    rng = np.random.default_rng(m)
+    kernels = np.stack(
+        [random_reversible(m, seed, 0.5 * (seed % 2)).kernel.matrix for seed in range(6)]
+    )
+    mus = reversible._stationary(kernels, 1e-9)
+    defects = reversible._defect(kernels, mus)
+    for arr, mu, defect in zip(kernels, mus, defects):
+        assert np.array_equal(mu, stationary_distribution(arr))
+        assert defect == reversibility_defect(arr, mu)
+    noisy = mus + rng.uniform(0.0, 1e-3, size=mus.shape)
+    for arr, mu, defect in zip(kernels, noisy, reversible._defect(kernels, noisy)):
+        assert defect == reversibility_defect(arr, mu)
+
+
+def test_zero_stationary_message_prints_plain_float():
+    chain = ReversibleChain(validate_stochastic(np.eye(2)), np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(ZeroStationaryError, match=r"^stationary component 1 is 0\.0$"):
+        symmetrize(chain)

@@ -25,6 +25,7 @@ from tiltmat import (
     tilt,
     top2_singular_values,
 )
+from tiltmat.spectral import _main_bound_curve
 
 
 def match_dist(a, b):
@@ -359,3 +360,19 @@ def test_spectrum_values_are_frozen():
     spec = general_spectrum([[0.9, 0.1], [0.2, 0.8]])
     with pytest.raises(ValueError):
         spec.eigenvalues[0] = 0.0
+
+
+def test_non_stochastic_message_prints_plain_complex():
+    with pytest.raises(ConvergenceError, match=r"\(closest is \(0\.5\+0j\)\)"):
+        second_eigenvalue_modulus(0.5 * np.eye(2))
+
+
+def test_main_bound_curve_overflows_to_inf():
+    huge = np.array([1.0, 1e100])
+    assert bound_main(0.5, [huge]) == np.inf
+    vectors = [np.array([1.0, 2.0]), huge, huge]
+    for lam in (0.0, 1e-300, 0.5):
+        curve = _main_bound_curve(lam, vectors)
+        assert curve[0] == lam * 16.0
+        assert np.array_equal(curve[1:], [np.inf, np.inf])
+        assert all(curve[k] == bound_main(lam, vectors[: k + 1]) for k in range(3))
