@@ -30,6 +30,7 @@ from .errors import (
 from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
+    _as_2d,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
@@ -165,7 +166,7 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
     ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
     """
-    return StochasticMatrix(_certify(as_matrix(M), tol), tol)
+    return StochasticMatrix(_certify(_as_2d(M, "matrix"), tol), tol)
 
 
 def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -173,11 +174,13 @@ def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
 
     Returns ``arr``, or a copy with its dust clamped.  Messages locate the
     entry or row within its matrix; a caller passing a stack names the slice.
+    Finiteness is checked first, in :func:`as_matrix`'s words, so that
+    :func:`validate_stochastic` can leave that check to this function.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("matrix contains NaN or infinite entries")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     low = float(arr.min())
     if low < -tol:
         idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
@@ -229,6 +232,14 @@ def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return arr * uv[..., None, :] / weights[..., :, None]
 
 
+def _state_vector(values, name: str, m: int) -> np.ndarray:
+    """``values`` checked finite and strictly positive, with one component per state."""
+    uv = as_positive_vector(values, name)
+    if uv.shape[0] != m:
+        raise DimensionError(f"{name} has length {uv.shape[0]}, expected {m}")
+    return uv
+
+
 def _tilted_prefixes(arr: np.ndarray, uvs):
     """Yield ``tilt(P, u_1) @ ... @ tilt(P, u_k)`` for k = 1..n; nothing is checked.
 
@@ -259,13 +270,9 @@ def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     if not isinstance(P, StochasticMatrix):
         P = validate_stochastic(P, tol)
     arr = _dense_square(P, "P")
-    m = arr.shape[0]
-    uvs = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
+    uvs = [_state_vector(u, f"us[{k}]", arr.shape[0]) for k, u in enumerate(us)]
     if not uvs:
         raise DimensionError("tilted_product needs at least one tilt vector")
-    for k, uv in enumerate(uvs):
-        if uv.shape[0] != m:
-            raise DimensionError(f"us[{k}] has length {uv.shape[0]}, expected {m}")
     for prod in _tilted_prefixes(arr, uvs):
         pass
     return validate_stochastic(prod, tol)

@@ -17,9 +17,11 @@ import numpy as np
 
 from .core import (
     StochasticMatrix,
+    _certify,
     _dense_square,
+    _state_vector,
     _strongly_connected,
-    tilt,
+    _tilt,
     validate_stochastic,
 )
 from .errors import (
@@ -29,8 +31,7 @@ from .errors import (
     NotReversibleError,
     ZeroStationaryError,
 )
-from .spectral import general_spectrum
-from .validation import DEFAULT_TOL, as_positive_vector, as_vector, readonly
+from .validation import DEFAULT_TOL, as_vector, readonly
 
 _POWER_MAX_ITER = 100_000
 
@@ -160,6 +161,11 @@ def _defect(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(flow - np.swapaxes(flow, -1, -2)).max(axis=(-2, -1))
 
 
+def _relative_defect(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """:func:`_defect` over the largest flow ``mu[i] P[i,j]`` of each matrix."""
+    return _defect(arr, mu) / (mu[..., :, None] * arr).max(axis=(-2, -1))
+
+
 def tilted_stationary(
     chain: ReversibleChain, u, tol: float = DEFAULT_TOL
 ) -> tuple[StochasticMatrix, np.ndarray]:
@@ -168,12 +174,13 @@ def tilted_stationary(
     For reversible ``(P, mu)`` the tilt ``U = tilt(P, u)`` is again reversible
     and its stationary distribution is the normalization of
     ``u o (P u) o mu`` (entrywise products).  No eigenproblem is solved; the
-    closed form is exact up to rounding.
+    closed form is exact up to rounding.  ``u`` is checked once; the tilt of
+    the certified kernel gets the certificate :func:`tilt` would give it.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
-    uv = as_positive_vector(u, "u")
-    tilted = tilt(P, uv, tol)
+    uv = _state_vector(u, "u", P.shape[0])
+    tilted = StochasticMatrix(_certify(_tilt(P, uv), tol), tol)
     mu_u = uv * (P @ uv) * chain.stationary
     mu_u /= mu_u.sum()
     return tilted, readonly(mu_u)
@@ -184,27 +191,35 @@ def two_tilt_product(
 ) -> tuple[StochasticMatrix, np.ndarray]:
     """Product of two tilts of one reversible kernel, with stationary vector.
 
-    Returns ``W = tilt(P, u) @ tilt(P, v)`` and the normalization of
-    ``(P u) o mu o v``, which is stationary for ``W``.  ``W`` is similar to a
-    positive semi-definite matrix, so its spectrum must be real and
-    non-negative; that is verified here with the general eigensolver and a
-    1e-9 tolerance, since it is what downstream bounds rely on.
+    Returns ``W = tilt(P, u) @ tilt(P, v)`` and ``mu_W``, the normalization
+    of ``(P u) o mu o v``, which is stationary for ``W``.  Each tilt and the
+    product are certified as :func:`tilt` and :func:`validate_stochastic`
+    certify them.
+
+    For reversible ``(P, mu)``, ``W`` is reversible with respect to
+    ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
+    ``G = D(u / (mu o P v))``, ``W = D(a)^{-1} S G S D(v)`` is similar to
+    ``X X^T`` with ``X = D(sqrt(v / a)) S G^{1/2}``, so its spectrum is real
+    and non-negative, which the bounds rely on.  That is certified here by
+    detailed balance of ``(W, mu_W)`` relative to the largest flow:
+    ``max |F - F^T| <= tol * max F`` with ``F = D(mu_W) W``, or
+    :class:`NotReversibleError`.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
-    uv = as_positive_vector(u, "u")
-    vv = as_positive_vector(v, "v")
-    first = tilt(P, uv, tol)
-    second = tilt(P, vv, tol)
-    product = validate_stochastic(first.matrix @ second.matrix, tol)
+    uv = _state_vector(u, "u", P.shape[0])
+    vv = _state_vector(v, "v", P.shape[0])
+    first = _certify(_tilt(P, uv), tol)
+    second = _certify(_tilt(P, vv), tol)
+    product = StochasticMatrix(_certify(first @ second, tol), tol)
     mu_w = (P @ uv) * chain.stationary * vv
     mu_w /= mu_w.sum()
 
-    spectrum = general_spectrum(product.matrix).eigenvalues
-    if np.abs(spectrum.imag).max() > 1e-9 or spectrum.real.min() < -1e-9:
+    defect = float(_relative_defect(product.matrix, mu_w))
+    if not defect <= tol:
         raise NotReversibleError(
-            "two-tilt product has a complex or negative eigenvalue; "
-            "the input chain is too far from detailed balance"
+            f"two-tilt product has relative detailed-balance defect {defect!r} "
+            f"above tol={tol!r}; the input chain is too far from detailed balance"
         )
     return product, readonly(mu_w)
 

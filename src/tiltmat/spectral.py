@@ -52,7 +52,12 @@ class SingularPair:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One observed second-eigenvalue modulus against one bound value."""
+    """One observed second-eigenvalue modulus against one bound value.
+
+    The bound is satisfied when ``observed <= bound`` up to a margin of 1e-9
+    relative to the larger of the two magnitudes, so the verdict means the
+    same for bounds near 1e-100 as for bounds near 1.
+    """
 
     observed_lambda2: float
     bound_value: float
@@ -63,7 +68,8 @@ class BoundReport:
     def evaluate(cls, observed_lambda2: float, bound_value: float) -> "BoundReport":
         observed = float(observed_lambda2)
         bound = float(bound_value)
-        return cls(observed, bound, observed <= bound + 1e-9, bound - observed)
+        margin = 1e-9 * max(abs(observed), abs(bound))
+        return cls(observed, bound, observed <= bound + margin, bound - observed)
 
 
 def _lapack(routine, arr: np.ndarray, **kwargs) -> np.ndarray:
@@ -84,8 +90,12 @@ def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
     scale = float(np.abs(arr).max())
     if float(np.abs(arr - arr.T).max()) > tol * max(1.0, scale):
         raise NotSymmetricError("matrix is not symmetric within tol")
-    values = _lapack(np.linalg.eigvalsh, 0.5 * (arr + arr.T))
-    return np.ascontiguousarray(values[::-1])
+    return _symmetric_eigenvalues(0.5 * (arr + arr.T))
+
+
+def _symmetric_eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """Unchecked ``syevd`` of an exactly symmetric finite matrix, sorted descending."""
+    return np.ascontiguousarray(_lapack(np.linalg.eigvalsh, sym)[::-1])
 
 
 def _sort_spectrum(values: np.ndarray) -> np.ndarray:
@@ -121,18 +131,21 @@ def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def _drop_principal(values: np.ndarray) -> float:
-    """Largest modulus after removing the eigenvalue closest to 1."""
+    """Largest modulus of real or complex ``values`` besides the one closest to 1.
+
+    Moduli are non-negative, so masking the principal one with 0 leaves the
+    maximum of the rest, and 0.0 for a single eigenvalue.
+    """
     distances = np.abs(values - 1.0)
     principal = int(np.argmin(distances))
-    if distances[principal] > 1e-6:
+    if not distances[principal] <= 1e-6:  # also catches NaN
         raise ConvergenceError(
             f"no eigenvalue within 1e-6 of 1 (closest is {complex(values[principal])!r}); "
             "input does not look stochastic"
         )
-    rest = np.delete(values, principal)
-    if rest.size == 0:
-        return 0.0
-    return float(np.abs(rest).max())
+    moduli = np.abs(values)
+    moduli[principal] = 0.0
+    return float(moduli.max())
 
 
 def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
@@ -157,9 +170,11 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
             sym = root[:, None] * arr / root[None, :]
             # Forcing exact symmetry shifts eigenvalues by at most the
             # asymmetry, which the detailed-balance gate already bounded.
-            sym = 0.5 * (sym + sym.T)
-            values = symmetric_eigenvalues(sym, tol=1e-12)
-            return _drop_principal(values.astype(np.complex128))
+            # The result is exactly symmetric, so symmetric_eigenvalues'
+            # own symmetrization would return it bit for bit.  It is finite
+            # unless tol is vacuous; then syevd yields NaN, which
+            # _drop_principal rejects.
+            return _drop_principal(_symmetric_eigenvalues(0.5 * (sym + sym.T)))
     return _drop_principal(general_spectrum(arr).eigenvalues)
 
 

@@ -26,13 +26,19 @@ PATTERN_REL_THRESHOLD = 1e-14
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Return ``values`` as a finite 2-D float64 array with positive dims."""
+    arr = _as_2d(values, name)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    return arr
+
+
+def _as_2d(values, name: str) -> np.ndarray:
+    """:func:`as_matrix` without the finiteness check, for callers that make it themselves."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must have positive dimensions, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
 
 
@@ -50,7 +56,7 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         arr = arr.reshape(-1) if arr.size == max(arr.shape, default=0) else arr
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionError(f"{name} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -58,7 +64,7 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 def as_positive_vector(values, name: str = "vector") -> np.ndarray:
     """Return a finite 1-D array whose components are all strictly positive."""
     arr = as_vector(values, name)
-    if np.any(arr <= 0.0):
+    if not arr.min() > 0.0:
         worst = int(np.argmin(arr))
         raise ZeroComponentError(
             f"{name} must be strictly positive; component {worst} is {float(arr[worst])!r}"

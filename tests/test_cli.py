@@ -188,6 +188,18 @@ def test_bounds_all_satisfied(tmp_path, capsys):
         assert line.split(",")[3] == "true"
 
 
+def test_bounds_violation_at_tiny_scale_reads_false(tmp_path, capsys):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1.0\n1e100\n")
+    code, out, _ = run(capsys, ["bounds", "--matrix", mat, "--vector", vec])
+    assert code == 0
+    # The observed value exceeds the bound by 3% of its size, far beyond the
+    # relative margin.  (The exact second eigenvalue of this product is
+    # 8.75e-100; the general solver's 9e-100 is off by less than its
+    # absolute error.)
+    assert out.splitlines()[2] == "chain,8.999999999999999e-100,8.75e-100,false,-2.499999999999995e-101"
+
+
 def test_bounds_single_vector_skips_pair(tmp_path, capsys):
     mat = write(tmp_path / "p.csv", TWO_STATE)
     v1 = write(tmp_path / "u1.csv", "1.0\n2.0\n")

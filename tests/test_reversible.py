@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tiltmat import (
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     NotIrreducibleError,
     NotReversibleError,
     ReversibleChain,
@@ -15,9 +19,11 @@ from tiltmat import (
     stationary_distribution,
     symmetrize,
     tilt,
+    tilted_product,
     tilted_stationary,
     two_tilt_product,
     validate_stochastic,
+    ZeroComponentError,
     ZeroStationaryError,
 )
 from tiltmat import reversible
@@ -203,6 +209,106 @@ def test_two_tilt_requires_reversible():
     chain = ReversibleChain.from_kernel(THREE_CYCLE)
     with pytest.raises(NotReversibleError):
         two_tilt_product(chain, np.ones(3), np.ones(3))
+
+
+def test_two_tilt_length_mismatch_names_the_vector():
+    chain = random_reversible(3, seed=1)
+    with pytest.raises(DimensionError, match=r"^u has length 2, expected 3$"):
+        two_tilt_product(chain, [1.0, 2.0], np.ones(3))
+    with pytest.raises(DimensionError, match=r"^v has length 4, expected 3$"):
+        two_tilt_product(chain, np.ones(3), np.ones(4))
+    with pytest.raises(DimensionError, match=r"^u has length 2, expected 3$"):
+        tilted_stationary(chain, [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ([1.0, np.nan, 1.0], NonFiniteError, "{} contains NaN or infinite entries"),
+        ([1.0, np.inf, 1.0], NonFiniteError, "{} contains NaN or infinite entries"),
+        ([1.0, 0.0, 1.0], ZeroComponentError, "{} must be strictly positive; component 1 is 0.0"),
+        ([1.0, 2.0, -0.5], ZeroComponentError, "{} must be strictly positive; component 2 is -0.5"),
+    ],
+)
+def test_tilt_vector_errors_keep_class_and_message(bad, error, message):
+    chain = random_reversible(3, seed=2)
+    calls = {
+        "u": [
+            lambda: tilted_stationary(chain, bad),
+            lambda: two_tilt_product(chain, bad, np.ones(3)),
+            lambda: tilt(chain.kernel, bad),
+        ],
+        "v": [lambda: two_tilt_product(chain, np.ones(3), bad)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(error) as info:
+                fn()
+            assert str(info.value) == message.format(name)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 64])
+def test_tilt_fast_paths_bit_identical_to_public_tilt(m):
+    chain = random_reversible(m, seed=50 + m, sparsity=0.3)
+    P = chain.kernel.matrix
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        u = rng.uniform(0.1, 10.0, size=m)
+        v = rng.uniform(0.1, 10.0, size=m)
+        U = tilt(P, u).matrix
+        assert np.array_equal(tilted_stationary(chain, u)[0].matrix, U)
+        expected = validate_stochastic(U @ tilt(P, v).matrix).matrix
+        assert np.array_equal(two_tilt_product(chain, u, v)[0].matrix, expected)
+
+
+@st.composite
+def reversible_tilt_cases(draw):
+    """A reversible chain from symmetric positive weights, and two tilt vectors."""
+    m = draw(st.integers(1, 7))
+    weights = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(1e-3, 1.0)))
+    weights = weights + weights.T
+    mass = weights.sum(axis=1)
+    kernel = validate_stochastic(weights / mass[:, None])
+    mu = mass / mass.sum()
+    chain = ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+    vectors = hnp.arrays(np.float64, m, elements=st.floats(0.01, 100.0))
+    return chain, draw(vectors), draw(vectors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(reversible_tilt_cases())
+def test_two_tilt_product_is_reversible_with_real_nonnegative_spectrum(case):
+    chain, u, v = case
+    W, mu_w = two_tilt_product(chain, u, v)
+    assert reversible._relative_defect(W.matrix, mu_w) <= 1e-12
+    values = np.linalg.eigvals(W.matrix)
+    assert np.abs(values.imag).max() <= 1e-9
+    assert values.real.min() >= -1e-9
+
+
+def test_two_tilt_certificate_rejects_irreversible_chain():
+    m = 8
+    P = random_reversible(m, seed=5).kernel.matrix
+    # A small circulation keeps the rows stochastic and breaks detailed balance.
+    cycle = np.roll(np.eye(m), 1, axis=1) - np.roll(np.eye(m), -1, axis=1)
+    chain = ReversibleChain.from_kernel(P + 1e-6 * cycle)
+    tol = 1e-6
+    chain.require_reversible(tol)
+    rng = np.random.default_rng(1)
+    u, v = rng.uniform(0.5, 2.0, size=(2, m))
+    with pytest.raises(NotReversibleError, match="relative detailed-balance defect"):
+        two_tilt_product(chain, u, v, tol)
+
+
+def test_three_tilt_products_are_not_reversible():
+    """The two-tilt certificate does not carry over to longer products."""
+    chain = random_reversible(50, seed=3)
+    rng = np.random.default_rng(50)
+    us = [rng.uniform(0.5, 2.0, size=50) for _ in range(3)]
+    pair = tilted_product(chain.kernel, us[:2])
+    triple = tilted_product(chain.kernel, us)
+    assert reversible._relative_defect(pair.matrix, stationary_distribution(pair)) < 1e-12
+    assert reversible._relative_defect(triple.matrix, stationary_distribution(triple)) > 1e-4
 
 
 def test_symmetrize_frozen():

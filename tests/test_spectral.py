@@ -247,6 +247,20 @@ def test_second_eigenvalue_routes_agree():
             assert abs(with_mu - without) < 1e-9
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 64])
+def test_second_eigenvalue_symmetric_route_bit_identical_to_public_solver(m):
+    """The certified route equals its composition through ``symmetric_eigenvalues``."""
+    for seed in range(5):
+        chain = random_reversible(m, seed=60 * m + seed, sparsity=0.3)
+        mu = chain.stationary
+        root = np.sqrt(mu)
+        sym = root[:, None] * chain.kernel.matrix / root[None, :]
+        values = symmetric_eigenvalues(0.5 * (sym + sym.T), tol=1e-12).astype(np.complex128)
+        rest = np.delete(values, int(np.argmin(np.abs(values - 1.0))))
+        expected = float(np.abs(rest).max()) if rest.size else 0.0
+        assert second_eigenvalue_modulus(chain.kernel, mu) == expected
+
+
 def test_second_eigenvalue_uncertified_mu_falls_back():
     # 3-cycle is not reversible; supplying its stationary vector must not
     # force the symmetric solver
