@@ -156,6 +156,7 @@ def _cmd_spectral(args) -> str:
 def _cmd_bounds(args) -> str:
     chain = _chain_from_file(args.matrix, args.tol)
     chain.require_reversible(args.tol)
+    m = chain.n_states
     us = [_read_vector(path) for path in args.vector]
     lam_p = second_eigenvalue_modulus(chain.kernel, chain.stationary, args.tol)
 
@@ -166,13 +167,13 @@ def _cmd_bounds(args) -> str:
 
     rows: list[tuple[str, BoundReport]] = []
     rows.append(
-        ("tilted", BoundReport.evaluate(lam_tilts[0], bound_tilted(lam_p, us[0])))
+        ("tilted", BoundReport.evaluate(lam_tilts[0], bound_tilted(lam_p, us[0]), m))
     )
     if len(us) >= 2:
         pair_w, pair_mu = two_tilt_product(chain, us[0], us[1], args.tol)
         observed_pair = second_eigenvalue_modulus(pair_w, pair_mu, args.tol)
         value = bound_pair(lam_tilts[0], lam_tilts[1], tilts[0][1], tilts[1][1])
-        rows.append(("pair", BoundReport.evaluate(observed_pair, value)))
+        rows.append(("pair", BoundReport.evaluate(observed_pair, value, m)))
 
     observed_prod = second_eigenvalue_modulus(
         tilted_product(chain.kernel, us, args.tol), None, args.tol
@@ -181,11 +182,11 @@ def _cmd_bounds(args) -> str:
         (
             "chain",
             BoundReport.evaluate(
-                observed_prod, bound_chain(lam_tilts, [mu for _, mu in tilts])
+                observed_prod, bound_chain(lam_tilts, [mu for _, mu in tilts]), m
             ),
         )
     )
-    rows.append(("main", BoundReport.evaluate(observed_prod, bound_main(lam_p, us))))
+    rows.append(("main", BoundReport.evaluate(observed_prod, bound_main(lam_p, us), m)))
 
     if args.format == "structured":
         return _structured(

@@ -210,17 +210,18 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     keeps the zero pattern of ``A`` exactly.
     """
     arr = _dense(A)
-    uv = as_positive_vector(u, "u")
-    if uv.shape[0] != arr.shape[1]:
-        raise DimensionError(
-            f"u has length {uv.shape[0]}, expected cols(A) = {arr.shape[1]}"
-        )
+    uv = _state_vector(u, "u", arr.shape[1])
     low = float(arr.min())
     if low < -tol:
         raise NegativeEntryError("A must be non-negative")
     if low < 0.0:
         arr = np.where(arr < 0.0, 0.0, arr)
-    return validate_stochastic(_tilt(arr, uv), tol)
+    return _certified_tilt(arr, uv, tol)
+
+
+def _certified_tilt(arr: np.ndarray, uv: np.ndarray, tol: float) -> StochasticMatrix:
+    """:func:`tilt` of a non-negative matrix by a checked vector, without the input checks."""
+    return StochasticMatrix(_certify(_tilt(arr, uv), tol), tol)
 
 
 def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:

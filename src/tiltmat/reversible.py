@@ -17,11 +17,11 @@ import numpy as np
 
 from .core import (
     StochasticMatrix,
+    _certified_tilt,
     _certify,
     _dense_square,
     _state_vector,
     _strongly_connected,
-    _tilt,
     validate_stochastic,
 )
 from .errors import (
@@ -161,11 +161,6 @@ def _defect(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(flow - np.swapaxes(flow, -1, -2)).max(axis=(-2, -1))
 
 
-def _relative_defect(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """:func:`_defect` over the largest flow ``mu[i] P[i,j]`` of each matrix."""
-    return _defect(arr, mu) / (mu[..., :, None] * arr).max(axis=(-2, -1))
-
-
 def tilted_stationary(
     chain: ReversibleChain, u, tol: float = DEFAULT_TOL
 ) -> tuple[StochasticMatrix, np.ndarray]:
@@ -180,7 +175,7 @@ def tilted_stationary(
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
-    tilted = StochasticMatrix(_certify(_tilt(P, uv), tol), tol)
+    tilted = _certified_tilt(P, uv, tol)
     mu_u = uv * (P @ uv) * chain.stationary
     mu_u /= mu_u.sum()
     return tilted, readonly(mu_u)
@@ -201,24 +196,25 @@ def two_tilt_product(
     ``G = D(u / (mu o P v))``, ``W = D(a)^{-1} S G S D(v)`` is similar to
     ``X X^T`` with ``X = D(sqrt(v / a)) S G^{1/2}``, so its spectrum is real
     and non-negative, which the bounds rely on.  That is certified here by
-    detailed balance of ``(W, mu_W)`` relative to the largest flow:
-    ``max |F - F^T| <= tol * max F`` with ``F = D(mu_W) W``, or
+    detailed balance of ``(W, mu_W)`` on the scale that
+    :meth:`ReversibleChain.require_reversible` applies to ``(P, mu)``:
+    ``max |F - F^T| <= tol`` with ``F = D(mu_W) W``, or
     :class:`NotReversibleError`.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     vv = _state_vector(v, "v", P.shape[0])
-    first = _certify(_tilt(P, uv), tol)
-    second = _certify(_tilt(P, vv), tol)
+    first = _certified_tilt(P, uv, tol).matrix
+    second = _certified_tilt(P, vv, tol).matrix
     product = StochasticMatrix(_certify(first @ second, tol), tol)
     mu_w = (P @ uv) * chain.stationary * vv
     mu_w /= mu_w.sum()
 
-    defect = float(_relative_defect(product.matrix, mu_w))
+    defect = float(_defect(product.matrix, mu_w))
     if not defect <= tol:
         raise NotReversibleError(
-            f"two-tilt product has relative detailed-balance defect {defect!r} "
+            f"two-tilt product has detailed-balance defect {defect!r} "
             f"above tol={tol!r}; the input chain is too far from detailed balance"
         )
     return product, readonly(mu_w)

@@ -24,6 +24,7 @@ from .validation import DEFAULT_TOL, as_matrix, as_positive_vector
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,10 @@ class BoundReport:
     """One observed second-eigenvalue modulus against one bound value.
 
     The bound is satisfied when ``observed <= bound`` up to a margin of 1e-9
-    relative to the larger of the two magnitudes, so the verdict means the
-    same for bounds near 1e-100 as for bounds near 1.
+    relative to the larger of the two magnitudes, but never below
+    ``4 * n_states * eps``.  That floor is the resolution of a double
+    precision eigenvalue of a stochastic matrix with ``n_states`` states:
+    below it, an observed value and a bound cannot be told apart.
     """
 
     observed_lambda2: float
@@ -65,10 +68,12 @@ class BoundReport:
     slack: float
 
     @classmethod
-    def evaluate(cls, observed_lambda2: float, bound_value: float) -> "BoundReport":
+    def evaluate(
+        cls, observed_lambda2: float, bound_value: float, n_states: int = 1
+    ) -> "BoundReport":
         observed = float(observed_lambda2)
         bound = float(bound_value)
-        margin = 1e-9 * max(abs(observed), abs(bound))
+        margin = max(1e-9 * max(abs(observed), abs(bound)), 4 * n_states * _EPS)
         return cls(observed, bound, observed <= bound + margin, bound - observed)
 
 

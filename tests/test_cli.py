@@ -188,16 +188,48 @@ def test_bounds_all_satisfied(tmp_path, capsys):
         assert line.split(",")[3] == "true"
 
 
-def test_bounds_violation_at_tiny_scale_reads_false(tmp_path, capsys):
+def test_bounds_within_solver_resolution_read_true(tmp_path, capsys):
+    # The product's exact second eigenvalue is 8.75e-100, equal to the bound;
+    # the general solver's 9e-100 is off by far less than its absolute error.
     mat = write(tmp_path / "p.csv", TWO_STATE)
     vec = write(tmp_path / "u.csv", "1.0\n1e100\n")
     code, out, _ = run(capsys, ["bounds", "--matrix", mat, "--vector", vec])
     assert code == 0
-    # The observed value exceeds the bound by 3% of its size, far beyond the
-    # relative margin.  (The exact second eigenvalue of this product is
-    # 8.75e-100; the general solver's 9e-100 is off by less than its
-    # absolute error.)
-    assert out.splitlines()[2] == "chain,8.999999999999999e-100,8.75e-100,false,-2.499999999999995e-101"
+    assert out.splitlines()[2] == "chain,8.999999999999999e-100,8.75e-100,true,-2.499999999999995e-101"
+
+
+def test_bounds_rank_one_chain_reads_true(tmp_path, capsys):
+    # Every tilt and product of a rank-one kernel has second eigenvalue 0;
+    # the solvers return rounding noise near 1e-16 on either side of the bounds.
+    mat = write(tmp_path / "p.csv", "0.25,0.5,0.25\n" * 3)
+    v1 = write(tmp_path / "u1.csv", "1\n2\n3\n")
+    v2 = write(tmp_path / "u2.csv", "3\n1\n2\n")
+    code, out, _ = run(capsys, ["bounds", "--matrix", mat, "--vector", v1, "--vector", v2])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["tilted", "pair", "chain", "main"]
+    assert all(row[3] == "true" for row in rows)
+
+
+def test_bounds_prints_pair_row_for_chain_within_tol(tmp_path, capsys):
+    # A reversible kernel plus a 1e-6 circulation: the chain passes --tol 1e-6,
+    # and so must the two-tilt product that the pair row is built from.
+    m = 32
+    P = random_reversible(m, seed=5).kernel.matrix
+    cycle = np.roll(np.eye(m), 1, axis=1) - np.roll(np.eye(m), -1, axis=1)
+    mat = write(tmp_path / "p.csv", format_matrix(P + 1e-6 * cycle))
+    rng = np.random.default_rng(1)
+    u, v = rng.uniform(0.5, 2.0, size=(2, m))
+    v1 = write(tmp_path / "u1.csv", format_vector(u))
+    v2 = write(tmp_path / "u2.csv", format_vector(v))
+    code, out, err = run(
+        capsys,
+        ["bounds", "--matrix", mat, "--vector", v1, "--vector", v2, "--tol", "1e-6"],
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["tilted", "pair", "chain", "main"]
+    assert all(row[3] == "true" for row in rows)
 
 
 def test_bounds_single_vector_skips_pair(tmp_path, capsys):

@@ -31,6 +31,12 @@ from tiltmat import reversible
 THREE_CYCLE = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
 
+def relative_defect(W, mu):
+    """Detailed-balance defect of ``(W, mu)`` over its largest flow."""
+    flow = mu[:, None] * W
+    return np.abs(flow - flow.T).max() / flow.max()
+
+
 def random_chain_kernel(rng, m):
     """Dense random stochastic matrix, strictly positive entries."""
     raw = rng.uniform(0.1, 1.0, size=(m, m))
@@ -280,24 +286,46 @@ def reversible_tilt_cases(draw):
 def test_two_tilt_product_is_reversible_with_real_nonnegative_spectrum(case):
     chain, u, v = case
     W, mu_w = two_tilt_product(chain, u, v)
-    assert reversible._relative_defect(W.matrix, mu_w) <= 1e-12
+    assert relative_defect(W.matrix, mu_w) <= 1e-12
     values = np.linalg.eigvals(W.matrix)
     assert np.abs(values.imag).max() <= 1e-9
     assert values.real.min() >= -1e-9
 
 
-def test_two_tilt_certificate_rejects_irreversible_chain():
-    m = 8
+def circulated_chain(m):
+    """A reversible kernel plus a 1e-6 circulation, which keeps the rows
+    stochastic and breaks detailed balance by about 1e-7."""
     P = random_reversible(m, seed=5).kernel.matrix
-    # A small circulation keeps the rows stochastic and breaks detailed balance.
     cycle = np.roll(np.eye(m), 1, axis=1) - np.roll(np.eye(m), -1, axis=1)
-    chain = ReversibleChain.from_kernel(P + 1e-6 * cycle)
+    return ReversibleChain.from_kernel(P + 1e-6 * cycle)
+
+
+def test_two_tilt_certificate_rejects_irreversible_chain():
+    chain = circulated_chain(8)
+    tol = 1e-6
+    chain.require_reversible(tol)
+    # Tilts that gather the mass on states 0 and 1 gather the circulation
+    # there too: the product's defect (4.3e-6) exceeds the chain's (2.6e-7).
+    u = np.array([1e3, 1e3, 1, 1, 1, 1, 1, 1], dtype=float)
+    with pytest.raises(NotReversibleError, match=r"^two-tilt product has detailed-balance defect"):
+        two_tilt_product(chain, u, u, tol)
+
+
+def test_two_tilt_certificate_accepts_what_require_reversible_accepts():
+    """The certificate gates W on the absolute scale that gates P.
+
+    Relative to its largest flow the product's defect exceeds tol, so a
+    relative certificate would refuse a chain that every other row of
+    ``bounds`` accepts.
+    """
+    chain = circulated_chain(8)
     tol = 1e-6
     chain.require_reversible(tol)
     rng = np.random.default_rng(1)
-    u, v = rng.uniform(0.5, 2.0, size=(2, m))
-    with pytest.raises(NotReversibleError, match="relative detailed-balance defect"):
-        two_tilt_product(chain, u, v, tol)
+    u, v = rng.uniform(0.5, 2.0, size=(2, 8))
+    W, mu_w = two_tilt_product(chain, u, v, tol)
+    assert reversibility_defect(W, mu_w) <= tol
+    assert relative_defect(W.matrix, mu_w) > tol
 
 
 def test_three_tilt_products_are_not_reversible():
@@ -307,8 +335,13 @@ def test_three_tilt_products_are_not_reversible():
     us = [rng.uniform(0.5, 2.0, size=50) for _ in range(3)]
     pair = tilted_product(chain.kernel, us[:2])
     triple = tilted_product(chain.kernel, us)
-    assert reversible._relative_defect(pair.matrix, stationary_distribution(pair)) < 1e-12
-    assert reversible._relative_defect(triple.matrix, stationary_distribution(triple)) > 1e-4
+    mu_pair = stationary_distribution(pair)
+    mu_triple = stationary_distribution(triple)
+    assert relative_defect(pair.matrix, mu_pair) < 1e-12
+    assert relative_defect(triple.matrix, mu_triple) > 1e-4
+    # On the certificate's own scale the gap is as wide: about 2e-17 against 4e-6.
+    assert reversibility_defect(pair, mu_pair) < 1e-15
+    assert reversibility_defect(triple, mu_triple) > 1e3 * 1e-9
 
 
 def test_symmetrize_frozen():

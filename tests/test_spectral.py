@@ -370,6 +370,16 @@ def test_bound_report_semantics():
     assert abs(broken.slack + 0.1) < 1e-12
 
 
+def test_bound_report_margin_floor_is_solver_resolution():
+    # Below about n_states * eps an observed value and a bound cannot be told apart.
+    assert BoundReport.evaluate(1.6e-16, 1.7e-32, n_states=3).satisfied
+    assert BoundReport.evaluate(9e-100, 8.75e-100, n_states=2).satisfied
+    # Above the floor a violation is caught however small the bound ...
+    assert not BoundReport.evaluate(2e-12, 1e-12, n_states=16).satisfied
+    # ... and the relative margin is far tighter than an absolute 1e-9.
+    assert not BoundReport.evaluate(1e-3 + 1e-10, 1e-3, n_states=16).satisfied
+
+
 def test_spectrum_values_are_frozen():
     spec = general_spectrum([[0.9, 0.1], [0.2, 0.8]])
     with pytest.raises(ValueError):

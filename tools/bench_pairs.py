@@ -1,13 +1,14 @@
 """Compare two checkouts on the benchmark in alternating pairs and write a BENCH json.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --runs /tmp/runs \\
-        --workloads bounds scan converge --pairs 10 --first-seed 11 --out BENCH_6.json
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workloads bounds scan converge --first-seed 11 --out BENCH_6.json
 
+Each workload gets ten pairs, the fewest the benchmark's rule can judge.
 Pair k runs ``perfbench/run.py --workload W --seed first_seed + k`` in each
 checkout, the parent first when k is even and the change first when k is
-odd, so drift of the host's speed falls on both sides alike.  Each run's
-stdout is kept in ``--runs`` as ``W-SEED-SIDE.txt``; a run whose file
-exists is not repeated, so an interrupted comparison resumes.  The summary
+odd, so drift of the host's speed falls on both sides alike.  Every run is
+made afresh, so each number in the output measures the checkouts as they
+are when the command runs.  The summary
 gives, per workload and end-to-end metric, each side's median and quartiles,
 the change's wins over the parent (ties count for neither), and whether the
 change is better by the benchmark's rule: at least nine tenths of the pairs
@@ -25,22 +26,18 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def run_pair(workload: str, seed: int, k: int, dirs: dict, runs: str, seconds: float) -> dict:
+def run_pair(workload: str, seed: int, k: int, dirs: dict, seconds: float) -> dict:
     results = {}
     for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-        path = os.path.join(runs, f"{workload}-{seed}-{side}.txt")
-        if not os.path.exists(path):
-            done = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(seconds), "--trace", "0"],
-                cwd=dirs[side], capture_output=True, text=True, check=True,
-            )
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(done.stdout)
-        with open(path, encoding="utf-8") as handle:
-            results[side] = parse_run(handle.read(), workload)
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=dirs[side], capture_output=True, text=True, check=True,
+        )
+        results[side] = parse_run(done.stdout, workload)
     return results
 
 
@@ -82,9 +79,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--runs", required=True)
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=11)
     parser.add_argument("--out", required=True)
     opts = parser.parse_args()
@@ -93,14 +88,13 @@ def main() -> int:
         spec = json.load(handle)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better["host.ref_ms"] = "lower"
-    os.makedirs(opts.runs, exist_ok=True)
 
-    report = {"pairs": opts.pairs, "seeds": [opts.first_seed, opts.first_seed + opts.pairs - 1],
+    report = {"pairs": PAIRS, "seeds": [opts.first_seed, opts.first_seed + PAIRS - 1],
               "run_seconds": spec["run_seconds"], "workloads": {}}
     for workload in opts.workloads:
         pairs = [
-            run_pair(workload, opts.first_seed + k, k, dirs, opts.runs, spec["run_seconds"])
-            for k in range(opts.pairs)
+            run_pair(workload, opts.first_seed + k, k, dirs, spec["run_seconds"])
+            for k in range(PAIRS)
         ]
         machine = pairs[-1]["change"]["machine"]
         report["machine"] = {k: machine.get(k) for k in ("nproc", "python", "numpy", "blas", "threads")}
