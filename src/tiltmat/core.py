@@ -241,21 +241,22 @@ def _state_vector(values, name: str, m: int) -> np.ndarray:
     return uv
 
 
-def _tilted_prefixes(arr: np.ndarray, uvs):
-    """Yield ``tilt(P, u_1) @ ... @ tilt(P, u_k)`` for k = 1..n; nothing is checked.
+def _tilted_prefixes(factors):
+    """Yield the running products ``F_1``, ``F_1 @ F_2``, ... of given factors; nothing is checked.
 
-    ``arr`` is one matrix with vectors ``u`` of shape ``(m,)``, or a stack
-    ``(k, m, m)`` with ``u`` of shape ``(k_j, m)``, k_j never increasing: a
-    step then continues only the last k_j products, so cells sorted by
-    product length drop out from the front of the stack as they finish.
-    Rows are renormalized after every factor, the first included, so
-    stochasticity drift stays at rounding level over hundreds of factors.
+    A factor is one matrix, or a stack ``(k_j, m, m)`` with k_j never
+    increasing: a step then continues only the last k_j products, so cells
+    sorted by product length drop out from the front of the stack as they
+    finish.  Rows are renormalized after every factor, the first included,
+    so stochasticity drift stays at rounding level over hundreds of factors.
+    The factors of a tilted product are ``_tilt(P, u_i)``; a lazy generator
+    of them keeps memory flat however long the product is.
     """
     prod = None
-    for uv in uvs:
-        # On one matrix len(arr) == len(uv) == m and the slices keep everything.
-        factor = _tilt(arr[len(arr) - len(uv):], uv)
-        prod = factor if prod is None else prod[len(prod) - len(uv):] @ factor
+    for factor in factors:
+        # On one matrix len(prod) == len(factor) == m and the slice keeps everything.
+        # The first factor is copied: it may be a view of the caller's stack.
+        prod = factor.copy() if prod is None else prod[len(prod) - len(factor):] @ factor
         prod /= prod.sum(axis=-1)[..., None]
         yield prod
 
@@ -274,7 +275,7 @@ def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     uvs = [_state_vector(u, f"us[{k}]", arr.shape[0]) for k, u in enumerate(us)]
     if not uvs:
         raise DimensionError("tilted_product needs at least one tilt vector")
-    for prod in _tilted_prefixes(arr, uvs):
+    for prod in _tilted_prefixes(_tilt(arr, uv) for uv in uvs):
         pass
     return validate_stochastic(prod, tol)
 
@@ -313,19 +314,23 @@ def _support(arr: np.ndarray) -> np.ndarray:
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
     """Breadth-first level of every state from state 0; -1 if unreached.
 
-    ``adj`` is one boolean adjacency matrix or a stack ``(..., m, m)``.
+    ``adj`` is one boolean adjacency matrix or a stack ``(..., m, m)``.  The
+    search ends at an empty frontier or once every state of every matrix is
+    reached, where no later level could change.
     """
     flat = adj.reshape(-1, *adj.shape[-2:])
     level = np.full(flat.shape[:-1], -1, dtype=np.int64)
     level[:, 0] = 0
     frontier = level == 0
+    unreached = level < 0
     depth = 0
-    while frontier.any():
+    while frontier.any() and unreached.any():
         depth += 1
         # Read only rows on some matrix's frontier: O(|frontier| m) for one matrix.
         rows = np.flatnonzero(frontier.any(axis=0))
-        frontier = (frontier[:, rows, None] & flat[:, rows]).any(axis=1) & (level < 0)
+        frontier = (frontier[:, rows, None] & flat[:, rows]).any(axis=1) & unreached
         level[frontier] = depth
+        unreached &= ~frontier
     return level.reshape(adj.shape[:-1])
 
 

@@ -14,17 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _certify, _tilted_prefixes
+from .core import _certify, _tilt, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
-from .reversible import ReversibleChain, _defect, _reversible_weights, _stationary
+from .reversible import (
+    ReversibleChain,
+    _defect,
+    _reversible_draws,
+    _stationary,
+    _symmetrised,
+)
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
 
 # Below this floor the recorded distances are rounding noise, not signal.
 _ERROR_FLOOR = 1e-13
 
-# Size of one (k, m, m) float64 stack in a conjecture scan pass; larger grids
-# run in several passes, so memory stays flat however many cells are scanned.
+# Size of the float64 tilt factors of one conjecture scan pass, k cells by
+# n_max steps by (m, m); larger grids run in several passes, and a single cell
+# larger than this is tilted a block of steps at a time, so memory stays flat
+# however many cells are scanned and however long their products are.
 _STACK_BYTES = 1 << 20
 
 
@@ -61,8 +69,12 @@ class ConjectureTrial:
     candidate_residual: float
 
 
-def _left_principal(prod: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Left principal eigenvector by power iteration, warm-started."""
+def _left_principal(prod: np.ndarray, start: np.ndarray, tol: float) -> np.ndarray:
+    """Left principal eigenvector by power iteration, warm-started.
+
+    A vector that has not settled after 1000 steps is not used: the
+    stationary solve of ``prod`` answers instead, or raises its domain error.
+    """
     x = start
     for _ in range(1000):
         y = x @ prod
@@ -70,7 +82,7 @@ def _left_principal(prod: np.ndarray, start: np.ndarray) -> np.ndarray:
         if float(np.abs(y - x).max()) <= 1e-15:
             return y
         x = y
-    return x
+    return _stationary(prod, tol)
 
 
 def _fit_rate(errors: np.ndarray) -> float:
@@ -126,8 +138,9 @@ def converge_demo(
 
     errors = np.empty(n)
     mu_k = np.asarray(chain.stationary, dtype=np.float64)
-    for k, prod in enumerate(_tilted_prefixes(chain.kernel.matrix, schedule)):
-        mu_k = _left_principal(prod, mu_k)
+    kernel = chain.kernel.matrix
+    for k, prod in enumerate(_tilted_prefixes(_tilt(kernel, u) for u in schedule)):
+        mu_k = _left_principal(prod, mu_k, tol)
         errors[k] = float(np.abs(prod - mu_k[None, :]).max())
     bound_curve = _main_bound_curve(predicted, schedule)
 
@@ -154,9 +167,12 @@ def conjecture_scan(
 
     Every trial's randomness derives from ``(base_seed, m, n, trial)`` alone,
     so identical arguments reproduce identical reports.  The cells of one m
-    are computed together as one stack (in several passes when the stack
-    would pass a fixed size), with results bit-identical to computing each
-    trial on its own; a failing cell's error is re-raised naming the cell.
+    are computed together as one stack, all tilt factors of a pass in one
+    call, with results bit-identical to computing each trial on its own; a
+    failing cell's error is re-raised naming the cell.  A pass holds as many
+    cells as keep its ``(cells, n_max, m, m)`` factor stack within
+    ``_STACK_BYTES``, at least one.  Each cell's generators are seeded from
+    the same entropy pool as ``SeedSequence((base_seed, m, n, trial)).spawn(2)``.
     """
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
@@ -174,7 +190,7 @@ def conjecture_scan(
     trials = []
     for m in ms:
         cells = [(n, t) for n in ns for t in range(trials_per_cell)]
-        per_pass = max(1, _STACK_BYTES // (8 * m * m))
+        per_pass = max(1, _STACK_BYTES // (8 * m * m * ns[-1]))
         for start in range(0, len(cells), per_pass):
             trials += _scan_cells(m, cells[start : start + per_pass], base_seed, u_spread, tol)
     return trials
@@ -182,20 +198,26 @@ def conjecture_scan(
 
 def _scan_cells(m, cells, base_seed, u_spread, tol) -> list[ConjectureTrial]:
     """Draw the (n, trial) cells of one m, sorted by n, and scan them as one stack."""
-    seeds, weights, us = [], [], []
+    # The children of SeedSequence((base_seed, m, n, t)).spawn(2) built from
+    # the uint32 words numpy assembles for them: each int of the entropy split
+    # into little-endian 32-bit words, then the spawn key (the child's index).
+    # Four ints give at least four words, so the pool is never padded, and
+    # NumPy's stream-compatibility policy (NEP 19) keeps this rule fixed.
+    head = _words(base_seed) + [m]
+    seeds, draws, us = [], [], []
     for n, t in cells:
-        # The two children that SeedSequence((base_seed, m, n, t)).spawn(2)
-        # returns, built directly.
-        chain_entropy, u_entropy = (
-            np.random.SeedSequence((base_seed, m, n, t), spawn_key=(child,))
-            for child in (0, 1)
-        )
-        seeds.append(int(chain_entropy.generate_state(1, np.uint64)[0]))
-        weights.append(_reversible_weights(m, seeds[-1], 0.0))
+        key = head + [n, t]
+        chain_entropy = np.random.SeedSequence(np.array(key + [0], dtype=np.uint32))
+        u_entropy = np.random.SeedSequence(np.array(key + [1], dtype=np.uint32))
+        # generate_state(1, np.uint64) joins these two words little-endian.
+        low, high = chain_entropy.generate_state(2).tolist()
+        seeds.append(low | high << 32)
+        draws.append(_reversible_draws(m, np.random.default_rng(seeds[-1])))
         rng = np.random.default_rng(u_entropy)
         us.append(rng.uniform(1.0, 1.0 + u_spread, size=(n, m)))
+    weights = _symmetrised(np.stack(draws))
     try:
-        defects, residuals = _scan_stack(np.stack(weights), us, tol)
+        defects, residuals = _scan_stack(weights, us, tol)
     except TiltmatError:
         # Name the first failing cell, with the error its own pass raises.
         for (n, t), w, u in zip(cells, weights, us):
@@ -208,6 +230,15 @@ def _scan_cells(m, cells, base_seed, u_spread, tol) -> list[ConjectureTrial]:
         ConjectureTrial(m, n, seed, float(defect), float(residual))
         for (n, _), seed, defect, residual in zip(cells, seeds, defects, residuals)
     ]
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words numpy's SeedSequence makes of a non-negative int."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def _scan_stack(weights: np.ndarray, us, tol: float):
@@ -229,9 +260,8 @@ def _scan_stack(weights: np.ndarray, us, tol: float):
 
     # Step j continues the cells with more than j factors, a suffix of the stack.
     starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1), side="right")
-    steps = (tilts[starts[j] :, j] for j in range(lengths[-1]))
     products = np.empty_like(kernel)
-    for j, prod in enumerate(_tilted_prefixes(kernel, steps)):
+    for j, prod in enumerate(_tilted_prefixes(_factor_steps(kernel, tilts, starts))):
         products[starts[j] : starts[j + 1]] = prod[: starts[j + 1] - starts[j]]
     products = _certify(products, tol)
     mu_actual = _stationary(products, tol)
@@ -241,6 +271,21 @@ def _scan_stack(weights: np.ndarray, us, tol: float):
     candidate = (kernel @ first[..., None])[..., 0] * mu * last
     candidate /= candidate.sum(axis=-1, keepdims=True)
     return _defect(products, mu_actual), np.abs(mu_actual - candidate).max(axis=-1)
+
+
+def _factor_steps(kernel: np.ndarray, tilts: np.ndarray, starts: np.ndarray):
+    """Yield step j's factors ``_tilt(kernel[c], tilts[c, j])`` for the cells ``c >= starts[j]``.
+
+    The factors are tilted in one call per block of steps, each block's
+    ``(k, steps, m, m)`` stack within ``_STACK_BYTES``: one block for any
+    pass that :func:`conjecture_scan` sizes, several for one oversized cell.
+    """
+    k, n_max, m = tilts.shape
+    block = max(1, _STACK_BYTES // (8 * k * m * m))
+    for first in range(0, n_max, block):
+        factors = _tilt(kernel[:, None], tilts[:, first : first + block])
+        for j in range(first, min(first + block, n_max)):
+            yield factors[starts[j] :, j - first]
 
 
 def _unit_scaled(u: np.ndarray) -> np.ndarray:

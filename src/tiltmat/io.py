@@ -56,7 +56,20 @@ def _parse_csv_rows(text: str) -> list[list[float]]:
 def _json_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: integer is beyond the float range") from None
+
+
+def _load_json(text: str):
+    """``json.loads``, with malformed or too deeply nested text as :class:`FormatError`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over Python's digit limit
+        raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
 
 
 def _parse_json_matrix(obj) -> np.ndarray:
@@ -66,7 +79,7 @@ def _parse_json_matrix(obj) -> np.ndarray:
         if key not in obj:
             raise FormatError(f"matrix JSON is missing {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise FormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"data must be a list of {rows} rows")
@@ -83,11 +96,7 @@ def parse_matrix(text: str) -> np.ndarray:
     """Parse a matrix from csv or structured text, sniffing the format."""
     head = text.lstrip()[:1]
     if head == "{":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from None
-        return _parse_json_matrix(obj)
+        return _parse_json_matrix(_load_json(text))
     if head == "[":
         raise FormatError("matrix JSON must be an object with rows/cols/data")
     return np.array(_parse_csv_rows(text))
@@ -97,10 +106,7 @@ def parse_vector(text: str) -> np.ndarray:
     """Parse a vector: a flat JSON array, or a one-row (or one-column) csv."""
     head = text.lstrip()[:1]
     if head == "[":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from None
+        obj = _load_json(text)
         if not isinstance(obj, list) or not obj:
             raise FormatError("vector JSON must be a non-empty flat array")
         return np.array([_json_number(v, f"[{k}]") for k, v in enumerate(obj)])

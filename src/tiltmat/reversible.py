@@ -97,7 +97,8 @@ def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
     if n == 1:
         return np.ones(arr.shape[:-1])
 
-    system = np.swapaxes(arr, -1, -2) - np.eye(n)
+    system = np.swapaxes(arr, -1, -2).copy()
+    system.reshape(*arr.shape[:-2], n * n)[..., :: n + 1] -= 1.0
     system[..., -1, :] = 1.0
     rhs = np.zeros(arr.shape[:-1] + (1,))
     rhs[..., -1, 0] = 1.0
@@ -249,20 +250,8 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    weights = _reversible_weights(m, seed, sparsity)
-    row_mass = weights.sum(axis=1)
-    kernel = validate_stochastic(weights / row_mass[:, None])
-    mu = row_mass / row_mass.sum()
-    return ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
-
-
-def _reversible_weights(m: int, seed: int, sparsity: float) -> np.ndarray:
-    """The random symmetric weights behind :func:`random_reversible`; arguments unchecked."""
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(size=(m, m))
-    weights = 0.5 * (weights + weights.T)
-    weights[np.diag_indices(m)] = rng.uniform(0.5, 1.5, size=m)
-
+    weights = _symmetrised(_reversible_draws(m, rng))
     if sparsity > 0.0 and m > 1:
         order = rng.permutation(m)
         tree = set()
@@ -279,4 +268,27 @@ def _reversible_weights(m: int, seed: int, sparsity: float) -> np.ndarray:
                 continue
             weights[i, j] = 0.0
             weights[j, i] = 0.0
-    return weights
+    row_mass = weights.sum(axis=1)
+    kernel = validate_stochastic(weights / row_mass[:, None])
+    mu = row_mass / row_mass.sum()
+    return ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+
+
+def _reversible_draws(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws behind :func:`random_reversible`'s weights, before :func:`_symmetrised`.
+
+    Off-diagonal entries are uniform in [0, 1) and the diagonal holds a
+    second draw, uniform in [0.5, 1.5).
+    """
+    draws = rng.random((m, m))
+    draws.flat[:: m + 1] = rng.uniform(0.5, 1.5, size=m)
+    return draws
+
+
+def _symmetrised(draws: np.ndarray) -> np.ndarray:
+    """Symmetric weights from one matrix of draws or a stack ``(..., m, m)``.
+
+    Each entry is the mean of the draw and its mirror, so the diagonal keeps
+    its draw exactly: ``0.5 * (d + d) == d`` in floating point.
+    """
+    return 0.5 * (draws + np.swapaxes(draws, -1, -2))

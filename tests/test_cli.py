@@ -399,6 +399,17 @@ def test_ragged_csv_is_domain_error(tmp_path, capsys):
     assert err.startswith("FormatError:")
 
 
+def test_hostile_structured_files_are_domain_errors(tmp_path, capsys):
+    # a bool passes isinstance(rows, int); 100,000 '[' overflow json's recursion
+    mat = write(tmp_path / "bool.json", '{"rows": true, "cols": 1, "data": [[1]]}')
+    code, _, err = run(capsys, ["stationary", "--matrix", mat])
+    assert (code, err.split(":")[0]) == (1, "FormatError")
+    vec = write(tmp_path / "deep.json", "[" * 100_000)
+    ok = write(tmp_path / "ok.csv", TWO_STATE)
+    code, _, err = run(capsys, ["tilt", "--matrix", ok, "--vector", vec])
+    assert (code, err.split(":")[0]) == (1, "FormatError")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, ["stationary", "--matrix", "/no/such/file.csv"])
     assert code == 2

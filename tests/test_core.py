@@ -413,6 +413,29 @@ def test_normalize_product_reconstruction_random():
         assert np.abs(fact.reconstruct() - direct).max() <= 1e-12 * scale
 
 
+@st.composite
+def product_cases(draw):
+    """Up to five sparse non-negative m x m factors, m <= 7, each with tilt vectors."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    factors = []
+    for _ in range(n):
+        A = draw(hnp.arrays(np.float64, (m, m), elements=entries))
+        A[A.max(axis=1) == 0.0, 0] = 1.0
+        factors.append((A, draw(hnp.arrays(np.float64, m, elements=st.floats(0.01, 100.0)))))
+    return factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(product_cases())
+def test_normalize_product_reconstructs_direct_product(factors):
+    # D(u) P with P stochastic is the product A_1 D(u_1) ... A_n D(u_n), entry by entry
+    direct = brute_force_product(factors)
+    rebuilt = normalize_product(factors).reconstruct()
+    assert np.all(np.abs(rebuilt - direct) <= 1e-12 * direct)
+
+
 def test_normalize_product_long_chain_stays_representable():
     # 300 factors would overflow the raw scale vector; the log carries it
     rng = np.random.default_rng(6)
@@ -512,6 +535,34 @@ def test_tilt_detect_recovers_u_dense_and_sparse(m, sparsity):
 
 
 # ---------------------------------------------------------------- stacks
+
+
+def reference_bfs_levels(adj):
+    """Breadth-first levels from state 0 of one boolean adjacency matrix, with a queue."""
+    level = [-1] * len(adj)
+    level[0] = 0
+    queue = [0]
+    for i in queue:
+        for j in np.flatnonzero(adj[i]):
+            if level[j] < 0:
+                level[j] = level[i] + 1
+                queue.append(int(j))
+    return level
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.15, 0.0])
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_bfs_levels_match_reference_on_stacks(m, density):
+    # dense stacks are reached in one level; sparse ones mix reached and unreached states
+    rng = np.random.default_rng(100 * m + int(100 * density))
+    adj = rng.uniform(size=(3, 7, m, m)) < density
+    levels = core._bfs_levels(adj)
+    assert levels.shape == (3, 7, m)
+    for idx in np.ndindex(3, 7):
+        assert levels[idx].tolist() == reference_bfs_levels(adj[idx])
+        assert levels[idx].tolist() == core._bfs_levels(adj[idx]).tolist()
+    if density == 0.0 and m > 1:
+        assert (levels[..., 1:] == -1).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])

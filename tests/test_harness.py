@@ -116,6 +116,23 @@ def test_converge_input_errors():
         converge_demo(chain, [np.ones(4)], n=10)
 
 
+def test_converge_step_errors_use_stationary_vector_of_each_product():
+    # Two 3-state blocks coupled by 1e-4: lambda_2 = 0.9998, so power iteration
+    # stops at its 1000-step cap far from mu_k; the stationary solve answers then.
+    block = np.full((3, 3), 1.0 / 3.0)
+    P = np.kron(np.eye(2), block)
+    P[:3, 3:] = P[3:, :3] = 1e-4 / 3.0
+    P[np.diag_indices(6)] -= 1e-4
+    chain = ReversibleChain.from_kernel(P)
+    u = np.array([1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+    report = converge_demo(chain, [u], n=10)
+    for k in range(10):
+        prod = tilted_product(chain.kernel, [u] * (k + 1)).matrix
+        mu_k = stationary_distribution(prod)
+        assert abs(report.errors[k] - np.abs(prod - mu_k[None, :]).max()) <= 1e-12
+    assert abs(report.errors[0] - 0.2999) < 1e-3
+
+
 def test_converge_report_is_frozen():
     chain = random_reversible(3, seed=56)
     report = converge_demo(chain, [np.ones(3)], n=5)
@@ -200,7 +217,7 @@ def per_trial_scan(m_range, n_range, trials_per_cell, base_seed=0, u_spread=1.0,
     return trials
 
 
-@pytest.mark.parametrize("base_seed", [0, 7, 123456789])
+@pytest.mark.parametrize("base_seed", [0, 7, 123456789, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("u_spread", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("trials_per_cell", [1, 3])
 def test_scan_matches_per_trial_bit_for_bit(base_seed, u_spread, trials_per_cell):
@@ -208,10 +225,31 @@ def test_scan_matches_per_trial_bit_for_bit(base_seed, u_spread, trials_per_cell
     assert conjecture_scan(*args) == per_trial_scan(*args)
 
 
+@pytest.mark.parametrize("base_seed", [0, 1, 7, 123456789, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5])
+@pytest.mark.parametrize("m, n, t", [(1, 1, 0), (3, 2, 1), (9, 7, 2)])
+def test_seed_words_match_spawn_key(base_seed, m, n, t):
+    # The scan seeds each cell from a uint32 word array instead of the tuple and spawn key.
+    for child in (0, 1):
+        spawned = np.random.SeedSequence((base_seed, m, n, t), spawn_key=(child,))
+        words = harness._words(base_seed) + [m, n, t, child]
+        direct = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        assert np.array_equal(direct.generate_state(4), spawned.generate_state(4))
+    assert harness._words(2**64 + 5) == [5, 0, 1]
+
+
+def test_scan_cell_over_stack_bytes_tilts_in_step_blocks(monkeypatch):
+    # A pass of one cell whose factors exceed _STACK_BYTES is tilted a few steps at a time.
+    m, n = 5, 7
+    monkeypatch.setattr(harness, "_STACK_BYTES", 2 * 8 * m * m)
+    args = ([m], [n], 2, 11, 3.0)
+    assert conjecture_scan(*args) == per_trial_scan(*args)
+
+
 def test_scan_across_stack_passes_matches_per_trial():
     m, ns, trials_per_cell = 40, range(1, 4), 30
-    per_pass = harness._STACK_BYTES // (8 * m * m)
-    assert per_pass < len(ns) * trials_per_cell < 2 * per_pass
+    per_pass = harness._STACK_BYTES // (8 * m * m * max(ns))
+    assert 2 * per_pass < len(ns) * trials_per_cell
+    assert len(ns) * trials_per_cell % per_pass
     args = ([m], ns, trials_per_cell, 3, 2.0)
     assert conjecture_scan(*args) == per_trial_scan(*args)
 
@@ -236,12 +274,15 @@ def test_scan_failing_cell_is_named(monkeypatch, bad_weights, error):
     # one cell draws a kernel the per-trial path rejects with `error`
     target = conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)[3]
     assert target.n == 2
-    draw = harness._reversible_weights
-    def patched(m, seed, sparsity):
-        return (bad_weights if seed == target.seed else draw)(m, seed, sparsity)
-
-    monkeypatch.setattr(harness, "_reversible_weights", patched)
+    draw = harness._reversible_draws
+    target_draws = draw(4, np.random.default_rng(target.seed))
     weights = bad_weights(4, target.seed, 0.0)
+    def patched(m, rng):
+        # The bad weights are symmetric, so the scan's symmetrising keeps them.
+        draws = draw(m, rng)
+        return weights if np.array_equal(draws, target_draws) else draws
+
+    monkeypatch.setattr(harness, "_reversible_draws", patched)
     with np.errstate(invalid="ignore"), pytest.raises(error) as caught:
         conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)
     assert str(caught.value).startswith("cell m=4, n=2, trial=1: ")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltmat.errors import FormatError
 from tiltmat.io import (
@@ -110,3 +112,70 @@ def test_format_rejects_unknown_name():
         format_matrix(np.eye(2), "yaml")
     with pytest.raises(ValueError):
         format_vector(np.ones(2), "yaml")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": true, "cols": 1, "data": [[1]]}',
+        '{"rows": 1, "cols": true, "data": [[1]]}',
+        '{"rows": false, "cols": 1, "data": []}',
+    ],
+)
+def test_structured_matrix_rejects_bool_dimensions(text):
+    # bool is an int subclass; rows=true used to reach numpy as a TypeError
+    with pytest.raises(FormatError, match="positive integers"):
+        parse_matrix(text)
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, parse_vector])
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_json_rejected(parse, opener):
+    # json.loads raises RecursionError long before the text ends
+    with pytest.raises(FormatError):
+        parse(opener * 100_000)
+
+
+def test_out_of_range_json_integers_rejected():
+    with pytest.raises(FormatError, match="beyond the float range"):
+        parse_vector("[" + "9" * 400 + "]")
+    with pytest.raises(FormatError, match="beyond the float range"):
+        parse_matrix('{"rows": 1, "cols": 1, "data": [[' + "9" * 400 + "]]}")
+    # past Python's int-string digit limit json.loads itself refuses
+    with pytest.raises(FormatError, match="invalid JSON"):
+        parse_vector("[" + "9" * 5000 + "]")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["rows", "cols", "data", "x"]), inner, max_size=4
+    ),
+    max_leaves=20,
+)
+MATRIX_OBJECTS = st.fixed_dictionaries(
+    {
+        "rows": st.one_of(st.integers(-2, 4), st.booleans(), st.floats(), st.none()),
+        "cols": st.one_of(st.integers(-2, 4), st.booleans(), st.floats(), st.none()),
+        "data": JSON_VALUES,
+    }
+)
+CSV_LIKE = st.text(alphabet="0123456789.,-+eEinfaN#[]{}\"\n \t", max_size=60)
+HOSTILE_TEXT = st.one_of(
+    st.text(max_size=60),
+    CSV_LIKE,
+    JSON_VALUES.map(json.dumps),
+    MATRIX_OBJECTS.map(json.dumps),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(HOSTILE_TEXT)
+def test_parsers_return_an_array_or_raise_format_error(text):
+    for parse in (parse_matrix, parse_vector):
+        try:
+            out = parse(text)
+        except FormatError:
+            continue
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.ndim == (2 if parse is parse_matrix else 1) and out.size >= 1
