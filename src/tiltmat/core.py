@@ -22,7 +22,6 @@ from .errors import (
     NegativeEntryError,
     NonFiniteError,
     NotIrreducibleError,
-    NotSquareError,
     PatternMismatchError,
     RowSumError,
     ZeroRowError,
@@ -30,44 +29,13 @@ from .errors import (
 from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
+    StochasticMatrix,
     _as_2d,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
     readonly,
 )
-
-
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """A rectangular matrix certified row-stochastic within ``tol``.
-
-    Construct via :func:`validate_stochastic`; entries are non-negative and
-    each row sums to 1 within the certification tolerance.
-    """
-
-    matrix: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(self.matrix))
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.matrix if not copy else self.matrix.copy()
-        return self.matrix.astype(dtype)
 
 
 @dataclass(eq=False, frozen=True)
@@ -145,19 +113,6 @@ class TiltDetection:
         return self.factor is not None
 
 
-def _dense(M) -> np.ndarray:
-    return M.matrix if isinstance(M, StochasticMatrix) else as_matrix(M)
-
-
-def _dense_square(M, name: str = "matrix") -> np.ndarray:
-    if isinstance(M, StochasticMatrix):
-        arr = M.matrix
-        if arr.shape[0] != arr.shape[1]:
-            raise NotSquareError(f"{name} must be square, got {arr.shape}")
-        return arr
-    return as_square_matrix(M, name)
-
-
 def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Certify a matrix as row-stochastic within ``tol``.
 
@@ -209,14 +164,17 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     no zero component.  The result is certified stochastic within ``tol`` and
     keeps the zero pattern of ``A`` exactly.
     """
-    arr = _dense(A)
+    arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
+    return _certified_tilt(_nonnegative(arr, tol), uv, tol)
+
+
+def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
+    """``arr`` with dust in ``[-tol, 0)`` set to zero; an entry below ``-tol`` raises."""
     low = float(arr.min())
     if low < -tol:
         raise NegativeEntryError("A must be non-negative")
-    if low < 0.0:
-        arr = np.where(arr < 0.0, 0.0, arr)
-    return _certified_tilt(arr, uv, tol)
+    return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
 
 
 def _certified_tilt(arr: np.ndarray, uv: np.ndarray, tol: float) -> StochasticMatrix:
@@ -226,11 +184,16 @@ def _certified_tilt(arr: np.ndarray, uv: np.ndarray, tol: float) -> StochasticMa
 
 def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Unchecked tilt of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``."""
+    return arr * uv[..., None, :] / _row_weights(arr, uv)[..., :, None]
+
+
+def _row_weights(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """``A u`` per matrix of a stack; a component that is not positive raises ZeroRowError."""
     weights = (arr @ uv[..., None])[..., 0]
     if np.any(weights <= 0.0):
         idx = np.unravel_index(int(np.argmin(weights)), weights.shape)
         raise ZeroRowError(f"row {idx[-1]} of A has no strictly positive entry")
-    return arr * uv[..., None, :] / weights[..., :, None]
+    return weights
 
 
 def _state_vector(values, name: str, m: int) -> np.ndarray:
@@ -271,18 +234,18 @@ def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """
     if not isinstance(P, StochasticMatrix):
         P = validate_stochastic(P, tol)
-    arr = _dense_square(P, "P")
+    arr = as_square_matrix(P, "P")
     uvs = [_state_vector(u, f"us[{k}]", arr.shape[0]) for k, u in enumerate(us)]
     if not uvs:
         raise DimensionError("tilted_product needs at least one tilt vector")
     for prod in _tilted_prefixes(_tilt(arr, uv) for uv in uvs):
         pass
-    return validate_stochastic(prod, tol)
+    return StochasticMatrix(_certify(prod, tol), tol)
 
 
 def rank1_sandwich(y, A, x) -> np.ndarray:
     """Diagonal sandwich ``D(y) A D(x)``, the entrywise product ``(y x^T) o A``."""
-    arr = _dense(A)
+    arr = as_matrix(A)
     yv = as_positive_vector(y, "y")
     xv = as_positive_vector(x, "x")
     if yv.shape[0] != arr.shape[0]:
@@ -298,7 +261,7 @@ def zero_pattern(M, threshold: float | None = None) -> ZeroPattern:
     With ``threshold=None`` a scale-relative cutoff (1e-14 times the largest
     absolute entry) separates structural zeros from floating-point dust.
     """
-    arr = _dense(M)
+    arr = as_matrix(M)
     if threshold is None:
         return ZeroPattern(_support(arr))
     if threshold < 0.0:
@@ -343,7 +306,7 @@ def _strongly_connected(arr: np.ndarray) -> np.ndarray:
 
 def is_irreducible(P: StochasticMatrix) -> bool:
     """True iff the positive-entry digraph of a square matrix is strongly connected."""
-    return bool(_strongly_connected(_dense_square(P, "P")))
+    return bool(_strongly_connected(as_square_matrix(P, "P")))
 
 
 def is_aperiodic(P: StochasticMatrix) -> bool:
@@ -353,10 +316,10 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
     the period as gcd of ``level[i] + 1 - level[j]`` over all edges (i, j);
     tree edges contribute 0 and leave the gcd unchanged.
     """
-    arr = _dense_square(P, "P")
-    if not is_irreducible(arr):
+    arr = as_square_matrix(P, "P")
+    if not _strongly_connected(arr):
         raise NotIrreducibleError("aperiodicity is only defined for irreducible matrices")
-    adj = zero_pattern(arr).mask
+    adj = _support(arr)
     level = _bfs_levels(adj)
     rows, cols = np.nonzero(adj)
     return bool(np.gcd.reduce(np.abs(level[rows] + 1 - level[cols])) == 1)
@@ -365,45 +328,39 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
 def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
     """Write a product ``A_1 D(u_1) ... A_n D(u_n)`` as ``D(u) P`` with P stochastic.
 
-    Built inductively: the base case is ``u = A_1 u_1`` with kernel
-    ``tilt(A_1, u_1)``; each further factor multiplies the scale vector
-    entrywise by ``P @ (A u_k)`` and extends the kernel by
-    ``D^{-1}(P A u_k) P D(A u_k) @ tilt(A, u_k)``, a product of stochastic
-    matrices.  The scale vector is renormalized to unit max-norm every step
-    with the magnitude accumulated in ``log_scale``, so products with
-    hundreds of factors stay representable.
+    Every factor is checked once, as :func:`tilt` checks its inputs.  The
+    kernel is the running product of the factors ``A_k D(u_k)`` with rows
+    renormalized after each one; the row sums that renormalization removes
+    are ``P_{k-1} @ (A_k u_k)``, so the scale vector, ``A_1 u_1`` at the
+    first factor, is multiplied by them.  The scale vector is renormalized
+    to unit max-norm every step with the magnitude accumulated in
+    ``log_scale``, so products with hundreds of factors stay representable.
+    Only the final kernel is certified.
     """
     pairs = list(factors)
     if not pairs:
         raise DimensionError("normalize_product needs at least one (A, u) factor")
     m = as_square_matrix(pairs[0][0], "A_1").shape[0]
-
-    log_scale = 0.0
-    scale: np.ndarray | None = None
-    kernel: StochasticMatrix | None = None
+    checked = []
     for k, (a_k, u_k) in enumerate(pairs):
         arr = as_matrix(a_k, f"A_{k + 1}")
         if arr.shape != (m, m):
             raise DimensionError(
                 f"factor {k + 1} has shape {arr.shape}, expected ({m}, {m})"
             )
-        uv = as_positive_vector(u_k, f"u_{k + 1}")
-        if uv.shape[0] != m:
-            raise DimensionError(f"u_{k + 1} has length {uv.shape[0]}, expected {m}")
-        step = tilt(arr, uv, tol)
-        w_in = arr @ uv
-        if kernel is None:
-            scale = w_in
-            kernel = step
-        else:
-            w = kernel.matrix @ w_in
-            bridged = (kernel.matrix * w_in[None, :] / w[:, None]) @ step.matrix
-            scale = scale * w
-            kernel = validate_stochastic(bridged, tol)
+        uv = _state_vector(u_k, f"u_{k + 1}", m)
+        arr = _nonnegative(arr, tol)
+        checked.append((arr * uv, _row_weights(arr, uv)))
+
+    log_scale = 0.0
+    scale = kernel = None
+    for (_, w), prod in zip(checked, _tilted_prefixes(f for f, _ in checked)):
+        scale = w if kernel is None else scale * (kernel @ w)
+        kernel = prod
         s = float(scale.max())
         scale = scale / s
         log_scale += math.log(s)
-    return TiltFactorization(scale, log_scale, kernel)
+    return TiltFactorization(scale, log_scale, StochasticMatrix(_certify(kernel, tol), tol))
 
 
 def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
@@ -418,13 +375,13 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     does not match ``P1`` entrywise within ``tol`` it reports "not-rank-1".
     The returned factor is normalized so its largest component is 1.
     """
-    a1 = _dense(P1)
-    a2 = _dense(P2)
+    a1 = as_matrix(P1)
+    a2 = as_matrix(P2)
     if a1.shape != a2.shape:
         raise DimensionError(f"shapes {a1.shape} and {a2.shape} differ")
-    if zero_pattern(a1) != zero_pattern(a2):
+    support = _support(a2)
+    if not np.array_equal(_support(a1), support):
         raise PatternMismatchError("zero patterns differ, no tilt relation can hold")
-    support = zero_pattern(a2).mask
 
     m, n = a2.shape
     row_off = np.full(m, np.nan)

@@ -22,6 +22,7 @@ from .reversible import (
     _reversible_draws,
     _stationary,
     _symmetrised,
+    _weighted_chain,
 )
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
@@ -250,9 +251,7 @@ def _scan_stack(weights: np.ndarray, us, tol: float):
     """
     k, m = weights.shape[:2]
     lengths = np.array([len(u) for u in us])
-    row_mass = weights.sum(axis=-1)
-    kernel = _certify(weights / row_mass[..., None], DEFAULT_TOL)
-    mu = row_mass / row_mass.sum(axis=-1, keepdims=True)
+    kernel, mu = _weighted_chain(weights)
     tilts = np.ones((k, lengths[-1], m))
     for c, u in enumerate(us):
         tilts[c, : len(u)] = u

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    StochasticMatrix,
     _certified_tilt,
     _certify,
-    _dense_square,
     _state_vector,
     _strongly_connected,
     validate_stochastic,
@@ -31,7 +29,7 @@ from .errors import (
     NotReversibleError,
     ZeroStationaryError,
 )
-from .validation import DEFAULT_TOL, as_vector, readonly
+from .validation import DEFAULT_TOL, StochasticMatrix, as_square_matrix, as_vector, readonly
 
 _POWER_MAX_ITER = 100_000
 
@@ -63,11 +61,12 @@ class ReversibleChain:
         records how far from detailed balance it is.
         """
         sm = P if isinstance(P, StochasticMatrix) else validate_stochastic(P, tol)
-        mu = stationary_distribution(sm, tol)
-        return cls(sm, mu, reversibility_defect(sm, mu))
+        arr = as_square_matrix(sm, "P")
+        mu = _stationary(arr, tol)
+        return cls(sm, mu, float(_defect(arr, mu)))
 
     def require_reversible(self, tol: float) -> None:
-        if self.defect > tol:
+        if not self.defect <= tol:
             raise NotReversibleError(
                 f"detailed-balance defect {self.defect!r} exceeds tolerance {tol!r}"
             )
@@ -82,7 +81,7 @@ def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     power iteration on the half-lazy transpose ``(P^T + I)/2``, whose fixed
     point is the same and which converges even for periodic chains.
     """
-    return readonly(_stationary(_dense_square(P, "P"), tol))
+    return readonly(_stationary(as_square_matrix(P, "P"), tol))
 
 
 def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -147,7 +146,7 @@ def _power_iteration_stationary(arr: np.ndarray, tol: float) -> np.ndarray:
 
 def reversibility_defect(P, mu) -> float:
     """Detailed-balance defect ``max_{i,j} |mu[i] P[i,j] - mu[j] P[j,i]|``."""
-    arr = _dense_square(P, "P")
+    arr = as_square_matrix(P, "P")
     muv = as_vector(mu, "mu")
     if muv.shape[0] != arr.shape[0]:
         raise DimensionError(
@@ -268,10 +267,19 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
                 continue
             weights[i, j] = 0.0
             weights[j, i] = 0.0
-    row_mass = weights.sum(axis=1)
-    kernel = validate_stochastic(weights / row_mass[:, None])
-    mu = row_mass / row_mass.sum()
-    return ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+    kernel, mu = _weighted_chain(weights)
+    return ReversibleChain(StochasticMatrix(kernel), mu, float(_defect(kernel, mu)))
+
+
+def _weighted_chain(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified kernel and stationary vector of symmetric weights ``(..., m, m)``.
+
+    The kernel is the weights with rows normalized, certified at the default
+    tolerance; detailed balance makes ``mu`` proportional to the row sums.
+    """
+    row_mass = weights.sum(axis=-1)
+    kernel = _certify(weights / row_mass[..., None], DEFAULT_TOL)
+    return kernel, row_mass / row_mass.sum(axis=-1, keepdims=True)
 
 
 def _reversible_draws(m: int, rng: np.random.Generator) -> np.ndarray:

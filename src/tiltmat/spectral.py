@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _dense_square
 from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
-from .validation import DEFAULT_TOL, as_matrix, as_positive_vector
+from .reversible import _defect, _stationary_residual
+from .validation import DEFAULT_TOL, as_matrix, as_positive_vector, as_square_matrix
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
@@ -91,7 +91,7 @@ def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
     ``tol`` bounds the accepted input asymmetry, relative to the largest
     entry; the symmetric part of the input is what gets decomposed.
     """
-    arr = _dense_square(S, "S")
+    arr = as_square_matrix(S, "S")
     scale = float(np.abs(arr).max())
     if float(np.abs(arr - arr.T).max()) > tol * max(1.0, scale):
         raise NotSymmetricError("matrix is not symmetric within tol")
@@ -110,7 +110,7 @@ def _sort_spectrum(values: np.ndarray) -> np.ndarray:
 
 def general_spectrum(M) -> Spectrum:
     """Full spectrum of a square real matrix by LAPACK ``geev``; complex pairs permitted."""
-    arr = _dense_square(M, "M")
+    arr = as_square_matrix(M, "M")
     return Spectrum(_sort_spectrum(_lapack(np.linalg.eigvals, arr)), METHOD_QR)
 
 
@@ -122,7 +122,7 @@ def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     (``geev``) otherwise; passing ``symmetric-jacobi`` or ``general-qr``
     forces a route.
     """
-    arr = _dense_square(M, "M")
+    arr = as_square_matrix(M, "M")
     if method == "auto":
         scale = max(1.0, float(np.abs(arr).max()))
         symmetric = float(np.abs(arr - arr.T).max()) <= tol * scale
@@ -163,14 +163,14 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
     eigenvalue closest to 1 is excluded; if none lies within 1e-6 of 1 the
     input is rejected as having drifted from stochasticity.
     """
-    arr = _dense_square(P, "P")
+    arr = as_square_matrix(P, "P")
     if mu is not None:
         muv = np.asarray(mu, dtype=np.float64).reshape(-1)
         if muv.shape[0] != arr.shape[0]:
             raise LengthMismatchError(
                 f"mu has length {muv.shape[0]}, expected {arr.shape[0]}"
             )
-        if muv.min() > 0.0 and _certifies_reversible(arr, muv, tol):
+        if muv.min() > 0.0 and _stationary_residual(arr, muv) <= tol and _defect(arr, muv) <= tol:
             root = np.sqrt(muv)
             sym = root[:, None] * arr / root[None, :]
             # Forcing exact symmetry shifts eigenvalues by at most the
@@ -181,13 +181,6 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
             # _drop_principal rejects.
             return _drop_principal(_symmetric_eigenvalues(0.5 * (sym + sym.T)))
     return _drop_principal(general_spectrum(arr).eigenvalues)
-
-
-def _certifies_reversible(arr: np.ndarray, mu: np.ndarray, tol: float) -> bool:
-    if float(np.abs(mu @ arr - mu).max()) > tol:
-        return False
-    flow = mu[:, None] * arr
-    return float(np.abs(flow - flow.T).max()) <= tol
 
 
 def top2_singular_values(M) -> SingularPair:

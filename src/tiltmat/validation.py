@@ -2,10 +2,14 @@
 
 Matrices and vectors travel through the package as plain float64 numpy
 arrays; these helpers certify shape, finiteness, and sign conventions at the
-API boundary and raise the domain errors from :mod:`tiltmat.errors`.
+API boundary and raise the domain errors from :mod:`tiltmat.errors`.  A
+:class:`StochasticMatrix` has passed that boundary already: the matrix
+helpers hand back its own array without checking it again.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +28,42 @@ DEFAULT_TOL = 1e-9
 PATTERN_REL_THRESHOLD = 1e-14
 
 
+@dataclass(frozen=True)
+class StochasticMatrix:
+    """A rectangular matrix certified row-stochastic within ``tol``.
+
+    Construct via :func:`tiltmat.validate_stochastic`; entries are
+    non-negative and each row sums to 1 within the certification tolerance.
+    """
+
+    matrix: np.ndarray
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", readonly(self.matrix))
+
+    @property
+    def rows(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is None:
+            return self.matrix if not copy else self.matrix.copy()
+        return self.matrix.astype(dtype)
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Return ``values`` as a finite 2-D float64 array with positive dims."""
+    """``values`` as a finite 2-D float64 array with positive dims; a StochasticMatrix as it is."""
+    if isinstance(values, StochasticMatrix):
+        return values.matrix
     arr = _as_2d(values, name)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tiltmat import core
+from tiltmat import core, validation
 from tiltmat.core import (
     StochasticMatrix,
     is_aperiodic,
@@ -19,7 +20,8 @@ from tiltmat.core import (
     validate_stochastic,
     zero_pattern,
 )
-from tiltmat.reversible import random_reversible
+from tiltmat.reversible import random_reversible, reversibility_defect, stationary_distribution
+from tiltmat.spectral import second_eigenvalue_modulus
 from tiltmat.errors import (
     DimensionError,
     NegativeEntryError,
@@ -220,6 +222,31 @@ def test_tilted_product_input_errors():
         tilted_product(wide, [[1.0, 1.0, 1.0]])
     with pytest.raises(NotSquareError):
         tilted_product(validate_stochastic(wide), [[1.0, 1.0, 1.0]])
+
+
+# ---------------------------------------------------------------- validation boundary
+
+
+def test_certified_matrix_passes_validation_as_it_is():
+    P = validate_stochastic([[0.5, 0.5], [0.25, 0.75]])
+    assert validation.as_matrix(P) is P.matrix
+    assert validation.as_square_matrix(P, "P") is P.matrix
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        stationary_distribution,
+        lambda P: reversibility_defect(P, [0.5, 0.5]),
+        is_irreducible,
+        second_eigenvalue_modulus,
+    ],
+    ids=["stationary_distribution", "reversibility_defect", "is_irreducible", "lambda2"],
+)
+def test_certified_wide_matrix_is_not_square(call):
+    wide = validate_stochastic([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+    with pytest.raises(NotSquareError, match=re.escape("P must be square, got (2, 3)")):
+        call(wide)
 
 
 # ---------------------------------------------------------------- rank-1 sandwich
@@ -456,6 +483,38 @@ def test_normalize_product_input_errors():
         normalize_product([(np.eye(2), np.ones(2)), (np.eye(3), np.ones(3))])
     with pytest.raises(ZeroRowError):
         normalize_product([(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))])
+    first = (np.ones((2, 2)), np.ones(2))
+    with pytest.raises(ZeroRowError):
+        normalize_product([first, (np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))])
+    with pytest.raises(NegativeEntryError):
+        normalize_product([first, (np.array([[1.0, -1e-6], [0.5, 0.5]]), np.ones(2))])
+    with pytest.raises(DimensionError, match=r"^u_2 has length 3, expected 2$"):
+        normalize_product([first, (np.ones((2, 2)), np.ones(3))])
+
+
+def test_normalize_product_clamps_dust_in_later_factors():
+    # Entries in [-tol, 0) count as zeros, in the kernel and in the scale alike
+    rng = np.random.default_rng(8)
+    clean = [(random_nonneg(rng, 4, 4), rng.uniform(0.5, 2.0, size=4)) for _ in range(3)]
+    for a, _ in clean[1:]:
+        a[0, 1] = a[2, 3] = 0.0
+    dusty = [(a.copy(), u) for a, u in clean]
+    for a, _ in dusty[1:]:
+        a[0, 1] = a[2, 3] = -5e-10
+    direct = brute_force_product(clean)
+    rebuilt = normalize_product(dusty, tol=1e-9).reconstruct()
+    assert np.all(np.abs(rebuilt - direct) <= 1e-12 * direct)
+
+
+def test_normalize_product_accepts_certified_factors():
+    P = validate_stochastic([[0.5, 0.5], [0.25, 0.75]])
+    factors = [(P, [1.0, 2.0]), (P, [3.0, 1.0])]
+    fact = normalize_product(factors)
+    raw = normalize_product([(P.matrix, u) for _, u in factors])
+    assert np.array_equal(fact.kernel.matrix, raw.kernel.matrix)
+    assert np.array_equal(fact.scale, raw.scale) and fact.log_scale == raw.log_scale
+    direct = brute_force_product([(P.matrix, u) for _, u in factors])
+    assert np.all(np.abs(fact.reconstruct() - direct) <= 1e-12 * direct)
 
 
 # ---------------------------------------------------------------- tilt_detect
