@@ -58,7 +58,6 @@ from .spectral import (
     METHOD_JACOBI,
     METHOD_QR,
     BoundReport,
-    SingularPair,
     Spectrum,
     bound_chain,
     bound_main,
@@ -68,7 +67,6 @@ from .spectral import (
     second_eigenvalue_modulus,
     spectrum,
     symmetric_eigenvalues,
-    top2_singular_values,
 )
 from .validation import DEFAULT_TOL
 
@@ -95,7 +93,6 @@ __all__ = [
     "PeriodicError",
     "ReversibleChain",
     "RowSumError",
-    "SingularPair",
     "Spectrum",
     "StochasticMatrix",
     "TiltDetection",
@@ -127,7 +124,6 @@ __all__ = [
     "tilt_detect",
     "tilted_product",
     "tilted_stationary",
-    "top2_singular_values",
     "two_tilt_product",
     "validate_stochastic",
     "zero_pattern",

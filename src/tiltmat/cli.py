@@ -32,7 +32,6 @@ from .io import (
 from .reversible import (
     ReversibleChain,
     random_reversible,
-    reversibility_defect,
     stationary_distribution,
     tilted_stationary,
     two_tilt_product,
@@ -124,19 +123,17 @@ def _cmd_stationary(args) -> str:
 
 
 def _cmd_check_reversible(args) -> str:
-    kernel = validate_stochastic(_read_matrix(args.matrix), args.tol)
-    mu = stationary_distribution(kernel, args.tol)
-    defect = reversibility_defect(kernel, mu)
-    reversible = defect <= args.tol
+    chain = _chain_from_file(args.matrix, args.tol)
+    reversible = chain.defect <= args.tol
     if args.format == "structured":
         return _structured(
             {
                 "reversible": reversible,
-                "defect": defect,
-                "stationary": [float(x) for x in mu],
+                "defect": chain.defect,
+                "stationary": [float(x) for x in chain.stationary],
             }
         )
-    return f"reversible,defect\n{_bool(reversible)},{float_repr(defect)}\n"
+    return f"reversible,defect\n{_bool(reversible)},{float_repr(chain.defect)}\n"
 
 
 def _cmd_spectral(args) -> str:

@@ -5,10 +5,10 @@ labelled ``symmetric-jacobi`` for the CLI's ``jacobi`` choice, runs LAPACK
 ``syevd`` (``numpy.linalg.eigvalsh``) on symmetrized reversible kernels, where
 the theory guarantees a real spectrum.  The general route, labelled
 ``general-qr``, runs LAPACK ``geev`` (``numpy.linalg.eigvals``, Hessenberg
-reduction and shifted QR) on any square matrix.  On top of them sit
-second-eigenvalue extraction, the top two singular values (LAPACK ``gesdd``
-through ``numpy.linalg.svd``), and evaluators for the four second-eigenvalue
-bounds.
+reduction and shifted QR) on any square matrix.  Each public eigen function
+checks its input once, picks a route and calls the one route kernel
+:func:`_eigenvalues`.  On top of them sit second-eigenvalue extraction and
+evaluators for the four second-eigenvalue bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
 from .reversible import _defect, _stationary_residual
-from .validation import DEFAULT_TOL, as_matrix, as_positive_vector, as_square_matrix
+from .validation import DEFAULT_TOL, as_positive_vector, as_square_matrix
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
@@ -35,20 +35,14 @@ class Spectrum:
     method: str
 
     def __post_init__(self):
-        frozen = np.array(self.eigenvalues, dtype=np.complex128, copy=True)
+        values = np.asarray(self.eigenvalues, dtype=np.complex128)
+        # Fancy indexing copies, so the frozen array is the instance's own.
+        frozen = values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
         frozen.setflags(write=False)
         object.__setattr__(self, "eigenvalues", frozen)
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class SingularPair:
-    """Two largest singular values, ``sigma1 >= sigma2 >= 0``."""
-
-    sigma1: float
-    sigma2: float
 
 
 @dataclass(frozen=True)
@@ -77,12 +71,26 @@ class BoundReport:
         return cls(observed, bound, observed <= bound + margin, bound - observed)
 
 
-def _lapack(routine, arr: np.ndarray, **kwargs) -> np.ndarray:
-    """Call a ``numpy.linalg`` routine; LAPACK non-convergence becomes ConvergenceError."""
+def _symmetric_within(arr: np.ndarray, tol: float) -> bool:
+    """Whether ``max |a_ij - a_ji| <= tol * max(1, max |a_ij|)``."""
+    scale = max(1.0, float(np.abs(arr).max()))
+    return float(np.abs(arr - arr.T).max()) <= tol * scale
+
+
+def _eigenvalues(arr: np.ndarray, route: str) -> np.ndarray:
+    """Eigenvalues of a checked square array on ``route``, the one LAPACK call.
+
+    ``symmetric-jacobi`` runs ``syevd`` on the symmetric part and returns real
+    values in descending order; ``general-qr`` runs ``geev`` and returns them
+    in LAPACK's order.  LAPACK non-convergence becomes ConvergenceError.
+    """
+    symmetric = route == METHOD_JACOBI
+    routine = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
     try:
-        return routine(arr, **kwargs)
+        values = routine(0.5 * (arr + arr.T) if symmetric else arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK {routine.__name__} failed: {exc}") from None
+    return np.ascontiguousarray(values[::-1]) if symmetric else values
 
 
 def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
@@ -92,26 +100,14 @@ def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
     entry; the symmetric part of the input is what gets decomposed.
     """
     arr = as_square_matrix(S, "S")
-    scale = float(np.abs(arr).max())
-    if float(np.abs(arr - arr.T).max()) > tol * max(1.0, scale):
+    if not _symmetric_within(arr, tol):
         raise NotSymmetricError("matrix is not symmetric within tol")
-    return _symmetric_eigenvalues(0.5 * (arr + arr.T))
-
-
-def _symmetric_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Unchecked ``syevd`` of an exactly symmetric finite matrix, sorted descending."""
-    return np.ascontiguousarray(_lapack(np.linalg.eigvalsh, sym)[::-1])
-
-
-def _sort_spectrum(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
-    return values[order]
+    return _eigenvalues(arr, METHOD_JACOBI)
 
 
 def general_spectrum(M) -> Spectrum:
     """Full spectrum of a square real matrix by LAPACK ``geev``; complex pairs permitted."""
-    arr = as_square_matrix(M, "M")
-    return Spectrum(_sort_spectrum(_lapack(np.linalg.eigvals, arr)), METHOD_QR)
+    return Spectrum(_eigenvalues(as_square_matrix(M, "M"), METHOD_QR), METHOD_QR)
 
 
 def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
@@ -120,19 +116,18 @@ def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     ``auto`` picks the symmetric route (``syevd``) when the input is symmetric
     within ``tol`` (relative to its largest entry) and the general route
     (``geev``) otherwise; passing ``symmetric-jacobi`` or ``general-qr``
-    forces a route.
+    forces a route.  A forced symmetric route accepts an asymmetry up to
+    ``max(tol, 1e-12)``.
     """
     arr = as_square_matrix(M, "M")
     if method == "auto":
-        scale = max(1.0, float(np.abs(arr).max()))
-        symmetric = float(np.abs(arr - arr.T).max()) <= tol * scale
-        method = METHOD_JACOBI if symmetric else METHOD_QR
-    if method == METHOD_JACOBI:
-        values = symmetric_eigenvalues(arr, max(tol, 1e-12))
-        return Spectrum(_sort_spectrum(values.astype(np.complex128)), METHOD_JACOBI)
-    if method == METHOD_QR:
-        return general_spectrum(arr)
-    raise ValueError(f"unknown method {method!r}")
+        method = METHOD_JACOBI if _symmetric_within(arr, tol) else METHOD_QR
+    elif method == METHOD_JACOBI:
+        if not _symmetric_within(arr, max(tol, 1e-12)):
+            raise NotSymmetricError("matrix is not symmetric within tol")
+    elif method != METHOD_QR:
+        raise ValueError(f"unknown method {method!r}")
+    return Spectrum(_eigenvalues(arr, method), method)
 
 
 def _drop_principal(values: np.ndarray) -> float:
@@ -149,7 +144,9 @@ def _drop_principal(values: np.ndarray) -> float:
             "input does not look stochastic"
         )
     moduli = np.abs(values)
-    moduli[principal] = 0.0
+    # Of equally close eigenvalues the largest is taken as the principal one,
+    # so the answer does not depend on the order LAPACK returns them in.
+    moduli[np.argmax(np.where(distances == distances[principal], moduli, -1.0))] = 0.0
     return float(moduli.max())
 
 
@@ -172,22 +169,13 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
             )
         if muv.min() > 0.0 and _stationary_residual(arr, muv) <= tol and _defect(arr, muv) <= tol:
             root = np.sqrt(muv)
+            # The route decomposes the symmetric part of D^{1/2} P D^{-1/2};
+            # that shifts eigenvalues by at most the asymmetry, which the
+            # detailed-balance gate already bounded.  It is finite unless tol
+            # is vacuous; then syevd yields NaN, which _drop_principal rejects.
             sym = root[:, None] * arr / root[None, :]
-            # Forcing exact symmetry shifts eigenvalues by at most the
-            # asymmetry, which the detailed-balance gate already bounded.
-            # The result is exactly symmetric, so symmetric_eigenvalues'
-            # own symmetrization would return it bit for bit.  It is finite
-            # unless tol is vacuous; then syevd yields NaN, which
-            # _drop_principal rejects.
-            return _drop_principal(_symmetric_eigenvalues(0.5 * (sym + sym.T)))
-    return _drop_principal(general_spectrum(arr).eigenvalues)
-
-
-def top2_singular_values(M) -> SingularPair:
-    """Two largest singular values by LAPACK ``gesdd``."""
-    values = _lapack(np.linalg.svd, as_matrix(M, "M"), compute_uv=False)
-    sigma2 = float(values[1]) if values.size > 1 else 0.0
-    return SingularPair(float(values[0]), sigma2)
+            return _drop_principal(_eigenvalues(sym, METHOD_JACOBI))
+    return _drop_principal(_eigenvalues(arr, METHOD_QR))
 
 
 def bound_tilted(lambda2_P: float, u) -> float:
@@ -201,20 +189,10 @@ def bound_pair(lambda2_1: float, lambda2_2: float, mu1, mu2) -> float:
     """Bound for a product of two reversible kernels.
 
     ``lambda2_1 * lambda2_2 * max(mu1/mu2) * max(mu2/mu1)``, the form the
-    underlying inequality's derivation actually establishes.
+    underlying inequality's derivation actually establishes: the two-kernel
+    case of :func:`bound_chain`, which computes it.
     """
-    m1 = as_positive_vector(mu1, "mu1")
-    m2 = as_positive_vector(mu2, "mu2")
-    if m1.shape[0] != m2.shape[0]:
-        raise LengthMismatchError(
-            f"mu1 has length {m1.shape[0]}, mu2 has length {m2.shape[0]}"
-        )
-    return (
-        float(lambda2_1)
-        * float(lambda2_2)
-        * float((m1 / m2).max())
-        * float((m2 / m1).max())
-    )
+    return bound_chain([lambda2_1, lambda2_2], [mu1, mu2])
 
 
 def bound_chain(lambda2s, mus) -> float:

@@ -1,8 +1,10 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tiltmat import spectral
 from tiltmat import (
     BoundReport,
     ConvergenceError,
@@ -11,6 +13,7 @@ from tiltmat import (
     METHOD_QR,
     NotSymmetricError,
     ReversibleChain,
+    Spectrum,
     ZeroComponentError,
     bound_chain,
     bound_main,
@@ -23,9 +26,8 @@ from tiltmat import (
     symmetric_eigenvalues,
     symmetrize,
     tilt,
-    top2_singular_values,
 )
-from tiltmat.spectral import _main_bound_curve
+from tiltmat.spectral import _drop_principal, _main_bound_curve
 
 
 def match_dist(a, b):
@@ -196,12 +198,63 @@ def test_spectrum_routes_agree_on_symmetric():
         assert match_dist(jac, qr) < 1e-9 * max(1.0, float(np.abs(jac).max()))
 
 
+def test_spectrum_symmetry_tolerances():
+    # auto tests symmetry at tol; a forced symmetric route at max(tol, 1e-12)
+    near = np.array([[0.5, 0.5], [0.5, 0.5]])
+    near[0, 1] += 1e-13
+    assert spectrum(near, tol=1e-15).method == METHOD_QR
+    forced = spectrum(near, method=METHOD_JACOBI, tol=1e-15)
+    assert forced.method == METHOD_JACOBI
+    assert match_dist(forced.eigenvalues, [1.0, 0.0]) < 1e-12
+
+    near[0, 1] = 0.5 + 1e-11
+    with pytest.raises(NotSymmetricError):
+        spectrum(near, method=METHOD_JACOBI, tol=1e-15)
+
+
+def test_spectrum_sorts_by_descending_modulus():
+    raw = np.array([0.1, 0.5 - 0.5j, -0.9, 0.5 + 0.5j, 1.0])
+    spec = Spectrum(raw, METHOD_QR)
+    assert spec.eigenvalues.tolist() == [1.0, -0.9, 0.5 + 0.5j, 0.5 - 0.5j, 0.1]
+    assert raw.tolist() == [0.1, 0.5 - 0.5j, -0.9, 0.5 + 0.5j, 1.0]
+
+
+def test_eigen_entry_points_do_not_reenter_each_other(monkeypatch):
+    rng = np.random.default_rng(37)
+    raw = rng.normal(size=(6, 6))
+    sym, skew = raw + raw.T, raw
+    chain = random_reversible(6, seed=38)
+    calls = [
+        lambda: spectrum(sym).eigenvalues,
+        lambda: spectrum(skew).eigenvalues,
+        lambda: spectrum(sym, method=METHOD_JACOBI).eigenvalues,
+        lambda: spectrum(skew, method=METHOD_QR).eigenvalues,
+        lambda: second_eigenvalue_modulus(chain.kernel, chain.stationary),
+        lambda: second_eigenvalue_modulus(chain.kernel),
+    ]
+    expected = [call() for call in calls]
+
+    def reentered(*args, **kwargs):
+        raise AssertionError("a public eigen function was re-entered")
+
+    for name in ("general_spectrum", "symmetric_eigenvalues", "spectrum"):
+        monkeypatch.setattr(spectral, name, reentered)
+    for call, value in zip(calls, expected):
+        assert np.array_equal(call(), value)
+
+
+def test_drop_principal_ignores_eigenvalue_order():
+    # 1 - eps and 1 + eps are equally close to 1; the larger is the principal one
+    values = np.array([1.0 - 2.0**-52, 1.0 + 2.0**-52, 0.5])
+    assert _drop_principal(values) == 1.0 - 2.0**-52
+    assert _drop_principal(values[::-1].copy()) == 1.0 - 2.0**-52
+
+
 @pytest.mark.parametrize(
     "routine,call",
     [
         ("eigvalsh", lambda: symmetric_eigenvalues(np.eye(2))),
         ("eigvals", lambda: general_spectrum(np.eye(2))),
-        ("svd", lambda: top2_singular_values(np.eye(2))),
     ],
 )
 def test_lapack_failure_is_convergence_error(monkeypatch, routine, call):
@@ -269,43 +322,6 @@ def test_second_eigenvalue_uncertified_mu_falls_back():
     assert abs(out - 1.0) < 1e-12
 
 
-def test_singular_values_frozen():
-    pair = top2_singular_values([[1.0, 1.0], [0.0, 0.0]])
-    assert abs(pair.sigma1 - math.sqrt(2.0)) < 1e-14
-    assert abs(pair.sigma2) < 1e-7
-
-    pair = top2_singular_values(np.eye(3))
-    assert abs(pair.sigma1 - 1.0) < 1e-14
-    assert abs(pair.sigma2 - 1.0) < 1e-14
-
-
-def test_singular_values_match_numpy():
-    rng = np.random.default_rng(34)
-    for m in (2, 4, 7):
-        for _ in range(15):
-            A = rng.uniform(-1.0, 1.0, size=(m, m))
-            pair = top2_singular_values(A)
-            ref = np.linalg.svd(A, compute_uv=False)
-            assert abs(pair.sigma1 - ref[0]) < 1e-8
-            assert abs(pair.sigma2 - ref[1]) < 1e-8
-
-
-def test_singular_values_submultiplicative():
-    """sigma1 and sigma1*sigma2 are submultiplicative under matrix product."""
-    rng = np.random.default_rng(35)
-    for _ in range(25):
-        A = rng.uniform(-1.0, 1.0, size=(5, 5))
-        B = rng.uniform(-1.0, 1.0, size=(5, 5))
-        pa = top2_singular_values(A)
-        pb = top2_singular_values(B)
-        pab = top2_singular_values(A @ B)
-        assert pab.sigma1 <= pa.sigma1 * pb.sigma1 + 1e-9
-        assert (
-            pab.sigma1 * pab.sigma2
-            <= pa.sigma1 * pa.sigma2 * pb.sigma1 * pb.sigma2 + 1e-9
-        )
-
-
 def test_bound_tilted_frozen():
     assert abs(bound_tilted(0.7, [1.0, 2.0]) - 2.8) < 1e-15
     assert abs(bound_tilted(0.5, [3.0, 3.0, 3.0]) - 0.5) < 1e-15
@@ -316,6 +332,24 @@ def test_bound_pair_frozen():
     assert abs(value - 1.0) < 1e-15
     same = bound_pair(0.7, 0.6, [0.5, 0.5], [0.5, 0.5])
     assert abs(same - 0.42) < 1e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            *[hnp.arrays(np.float64, m, elements=st.floats(1e-300, 1e300)) for _ in range(2)]
+        )
+    ),
+)
+def test_bound_pair_is_the_two_kernel_chain_bound(lambda1, lambda2, mus):
+    mu1, mu2 = mus
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan must match too
+        pair = bound_pair(lambda1, lambda2, mu1, mu2)
+        chain = bound_chain([lambda1, lambda2], [mu1, mu2])
+    assert np.float64(pair).tobytes() == np.float64(chain).tobytes()
 
 
 def test_bound_chain_frozen():

@@ -63,6 +63,13 @@ def write_inputs(directory: str) -> None:
         files[f"u16_{k}.json"] = json.dumps(vector.tolist()) + "\n"
         files[f"a4_{k}.csv"] = _csv(rng.uniform(0.0, 1.0, size=(4, 4)))
         files[f"u4_{k}.csv"] = _csv([rng.uniform(0.5, 2.0, size=4)])
+    # An exactly symmetric matrix takes the symmetric route under auto; its
+    # copy with a 1e-13 asymmetry does not at --tol 1e-15, but jacobi accepts it.
+    draws = rng.uniform(size=(8, 8))
+    symmetric = 0.5 * (draws + draws.T)
+    files["s8.csv"] = _csv(symmetric)
+    symmetric[0, 1] += 1e-13
+    files["near8.csv"] = _csv(symmetric)
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -82,6 +89,13 @@ def invocations() -> list[list[str]]:
     runs.append(["check-reversible", "--matrix", "k16.csv", "--format", "structured"])
     for method in ("auto", "jacobi", "qr"):
         runs.append(["spectral", "--matrix", "k8.csv", "--method", method])
+        for fmt in ("csv", "structured"):
+            runs.append(["spectral", "--matrix", "s8.csv", "--method", method, "--format", fmt])
+    for method in ("auto", "jacobi"):
+        runs.append(
+            ["spectral", "--matrix", "near8.csv", "--method", method, "--tol", "1e-15",
+             "--format", "structured"]
+        )
     for count in (1, 2, 3):
         for ext, fmt in (("csv", "csv"), ("json", "structured")):
             vectors = [arg for k in range(count) for arg in ("--vector", f"u16_{k}.{ext}")]
