@@ -70,7 +70,7 @@ class NotSymmetricError(TiltmatError):
 
 
 class ConvergenceError(TiltmatError):
-    """An iterative solver failed to reach the requested tolerance."""
+    """A solver failed, or its answer did not pass its residual gate."""
 
 
 class FormatError(TiltmatError):

@@ -31,8 +31,6 @@ from .errors import (
 )
 from .validation import DEFAULT_TOL, StochasticMatrix, as_square_matrix, as_vector, readonly
 
-_POWER_MAX_ITER = 100_000
-
 
 @dataclass(frozen=True)
 class ReversibleChain:
@@ -76,10 +74,10 @@ def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Stationary distribution of an irreducible square stochastic matrix.
 
     Solves ``(P^T - I) mu = 0`` with the last equation replaced by the
-    normalization ``sum(mu) = 1`` via partially pivoted elimination.  If the
-    solve is ill-conditioned or leaves a residual above ``tol``, falls back to
-    power iteration on the half-lazy transpose ``(P^T + I)/2``, whose fixed
-    point is the same and which converges even for periodic chains.
+    normalization ``sum(mu) = 1`` via partially pivoted elimination.  If that
+    is singular, not positive or leaves a residual ``max |mu P - mu|`` above
+    ``tol``, subtraction-free GTH elimination, accurate componentwise, solves
+    it again and must pass the same gate or raise :class:`ConvergenceError`.
     """
     return readonly(_stationary(as_square_matrix(P, "P"), tol))
 
@@ -87,7 +85,8 @@ def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
     """:func:`stationary_distribution` of one matrix or of each matrix of a stack.
 
-    Every slice is solved, gated and, if need be, power-iterated on its own,
+    Every slice is solved and gated on its own; the slices that fail the gate
+    go to :func:`_gth` in one call, which also treats each slice on its own,
     so no slice changes another slice's result.
     """
     if not _strongly_connected(arr).all():
@@ -116,9 +115,11 @@ def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
         mu /= mu.sum(axis=-1, keepdims=True)
         ok &= _stationary_residual(arr, mu) <= tol
     if not ok.all():
-        for idx in np.ndindex(ok.shape):
-            if not ok[idx]:
-                mu[idx] = _power_iteration_stationary(arr[idx], tol)
+        mu[~ok] = exact = _gth(arr[~ok])
+        residual = _stationary_residual(arr[~ok], exact)
+        if not ((exact.min(axis=-1) > 0.0) & (residual <= tol)).all():
+            worst = float(residual.max())
+            raise ConvergenceError(f"GTH answer failed the gate: residual {worst!r}, tol={tol!r}")
     return mu
 
 
@@ -127,21 +128,24 @@ def _stationary_residual(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs((mu[..., None, :] @ arr)[..., 0, :] - mu).max(axis=-1)
 
 
-def _power_iteration_stationary(arr: np.ndarray, tol: float) -> np.ndarray:
-    n = arr.shape[0]
-    lazy = 0.5 * (arr.T + np.eye(n))
-    x = np.full(n, 1.0 / n)
-    for _ in range(_POWER_MAX_ITER):
-        y = lazy @ x
-        y /= y.sum()
-        if np.abs(y - x).max() <= 1e-16:
-            x = y
-            break
-        x = y
-    residual = float(_stationary_residual(arr, x))
-    if x.min() <= 0.0 or residual > tol:
-        raise ConvergenceError(f"power iteration residual {residual!r} above tol={tol!r}")
-    return x
+def _gth(arr: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a stack ``(k, m, m)`` by GTH elimination.
+
+    Grassmann, Taksar and Heyman (Oper. Res. 33(5), 1985): states are
+    censored from the last one down with their off-diagonal row sums as
+    pivots, so no step subtracts and the diagonal is never read; ``mu_0 = 1``
+    is then back-substituted.  Every operation is elementwise or a sum along
+    the last axis, so each slice's answer is bit-identical to its solo answer.
+    """
+    a, m = arr.copy(), arr.shape[-1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for n in range(m - 1, 0, -1):
+            a[..., :n, n] /= a[..., n, :n].sum(axis=-1)[..., None]
+            a[..., :n, :n] += a[..., :n, n, None] * a[..., n, None, :n]
+        mu = np.ones(a.shape[:-1])
+        for n in range(1, m):
+            mu[..., n] = (mu[..., :n] * a[..., :n, n]).sum(axis=-1)
+        return mu / mu.sum(axis=-1, keepdims=True)
 
 
 def reversibility_defect(P, mu) -> float:
@@ -253,20 +257,14 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
     weights = _symmetrised(_reversible_draws(m, rng))
     if sparsity > 0.0 and m > 1:
         order = rng.permutation(m)
-        tree = set()
+        tree = np.zeros((m, m), dtype=bool)
         for k in range(1, m):
-            a = int(order[k])
-            b = int(order[rng.integers(0, k)])
-            tree.add((min(a, b), max(a, b)))
+            tree[order[k], order[rng.integers(0, k)]] = True
         upper_i, upper_j = np.triu_indices(m, k=1)
         values = weights[upper_i, upper_j]
-        cut = float(np.quantile(values, sparsity))
-        for idx in np.flatnonzero(values < cut):
-            i, j = int(upper_i[idx]), int(upper_j[idx])
-            if (i, j) in tree:
-                continue
-            weights[i, j] = 0.0
-            weights[j, i] = 0.0
+        cut = (values < np.quantile(values, sparsity)) & ~(tree | tree.T)[upper_i, upper_j]
+        weights[upper_i[cut], upper_j[cut]] = 0.0
+        weights[upper_j[cut], upper_i[cut]] = 0.0
     kernel, mu = _weighted_chain(weights)
     return ReversibleChain(StochasticMatrix(kernel), mu, float(_defect(kernel, mu)))
 

@@ -199,21 +199,22 @@ def bound_chain(lambda2s, mus) -> float:
     """Bound for a product of ``n`` reversible kernels.
 
     ``prod(lambda2_i) * prod_{i=2..n} max(mu_{i-1}/mu_i) * max(mu_n/mu_1)``;
-    with ``n = 2`` this reduces to :func:`bound_pair`.
+    with ``n = 2`` this reduces to :func:`bound_pair`.  Once a ratio
+    overflows, the bound is vacuous and reads inf, also where a rate is 0.
     """
     rates = [float(v) for v in np.asarray(lambda2s, dtype=np.float64).reshape(-1)]
     distributions = [as_positive_vector(mu, f"mus[{k}]") for k, mu in enumerate(mus)]
     if len(rates) != len(distributions) or not rates:
-        raise LengthMismatchError(
-            f"{len(rates)} rates vs {len(distributions)} distributions"
-        )
+        raise LengthMismatchError(f"{len(rates)} rates vs {len(distributions)} distributions")
     sizes = {d.shape[0] for d in distributions}
     if len(sizes) != 1:
         raise LengthMismatchError(f"distribution lengths differ: {sorted(sizes)}")
     value = math.prod(rates)
-    for prev, cur in zip(distributions, distributions[1:]):
-        value *= float((prev / cur).max())
-    value *= float((distributions[-1] / distributions[0]).max())
+    for prev, cur in zip(distributions, distributions[1:] + distributions[:1]):
+        ratio = float((prev / cur).max())
+        if ratio == math.inf:
+            return math.inf
+        value *= ratio
     return value
 
 

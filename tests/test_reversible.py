@@ -83,7 +83,8 @@ GTH_XFAIL = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize(
-    "eps", [1e-4, pytest.param(1e-10, marks=GTH_XFAIL), pytest.param(1e-13, marks=GTH_XFAIL)]
+    "eps",
+    [1e-4, pytest.param(1e-10, marks=GTH_XFAIL), pytest.param(1e-13, marks=GTH_XFAIL), 1e-14],
 )
 def test_stationary_nearly_decomposable_chain_componentwise(eps):
     # Two blocks joined by eps; detailed balance gives mu proportional to [1, 2 eps, 2 eps, 1]
@@ -301,16 +302,16 @@ def test_tilt_fast_paths_bit_identical_to_public_tilt(m):
 
 
 @st.composite
-def reversible_tilt_cases(draw):
+def reversible_tilt_cases(draw, sizes=(1, 7), spread=(0.01, 100.0)):
     """A reversible chain from symmetric positive weights, and two tilt vectors."""
-    m = draw(st.integers(1, 7))
+    m = draw(st.integers(*sizes))
     weights = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(1e-3, 1.0)))
     weights = weights + weights.T
     mass = weights.sum(axis=1)
     kernel = validate_stochastic(weights / mass[:, None])
     mu = mass / mass.sum()
     chain = ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
-    vectors = hnp.arrays(np.float64, m, elements=st.floats(0.01, 100.0))
+    vectors = hnp.arrays(np.float64, m, elements=st.floats(*spread))
     return chain, draw(vectors), draw(vectors)
 
 
@@ -323,6 +324,15 @@ def test_two_tilt_product_is_reversible_with_real_nonnegative_spectrum(case):
     values = np.linalg.eigvals(W.matrix)
     assert np.abs(values.imag).max() <= 1e-9
     assert values.real.min() >= -1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(reversible_tilt_cases(sizes=(2, 12), spread=(1.0, 1e6)))
+def test_closed_form_tilt_stationaries_match_gth(case):
+    chain, u, v = case
+    for kernel, mu in (tilted_stationary(chain, u), two_tilt_product(chain, u, v)):
+        exact = reversible._gth(kernel.matrix[None])[0]
+        assert np.all(np.abs(mu - exact) <= 1e-12 * exact)
 
 
 def circulated_chain(m):
@@ -469,9 +479,8 @@ def test_time_reversal_is_stochastic():
             validate_stochastic(reversed_kernel, tol=1e-9)
 
 
-def test_power_iteration_fallback_matches_periodic_case():
-    # two-state flip is periodic; the direct solve handles it, but force the
-    # fallback path too by checking the documented fixed point
+def test_stationary_periodic_two_state_flip():
+    # the two-state flip is periodic; the direct solve still finds its fixed point
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     mu = stationary_distribution(P)
     assert np.allclose(mu, [0.5, 0.5], atol=1e-12)
@@ -490,19 +499,39 @@ def test_stationary_stack_falls_back_per_slice(monkeypatch):
     # loose enough that the non-stochastic singular slice passes its gate
     tol = 1.0
     fell_back = []
-    power = reversible._power_iteration_stationary
+    gth = reversible._gth
 
-    def spy(arr, tol):
+    def spy(arr):
         fell_back.append(arr.copy())
-        return power(arr, tol)
+        return gth(arr)
 
-    monkeypatch.setattr(reversible, "_power_iteration_stationary", spy)
+    monkeypatch.setattr(reversible, "_gth", spy)
     mus = reversible._stationary(stack, tol)
-    assert len(fell_back) == 2
-    assert np.array_equal(fell_back[0], singular) and np.array_equal(fell_back[1], gated)
+    assert len(fell_back) == 1
+    assert np.array_equal(fell_back[0], np.stack([singular, gated]))
+    expected = np.array([1.0, 2e-13]) / (1.0 + 2e-13)
+    assert np.all(np.abs(mus[3] - expected) <= 1e-15 * expected)
     for arr, mu in zip(stack, mus):
         assert np.array_equal(mu, stationary_distribution(arr, tol))
     assert np.array_equal(mus[[0, 2, 4]], reversible._stationary(np.stack(good), tol))
+
+
+def test_gth_answer_must_pass_the_stationary_gate():
+    # not stochastic: GTH returns (1/2, 1/2), which leaves a residual of 1/4
+    singular = np.array([[1.25, 0.25], [0.25, 0.75]])
+    message = r"^GTH answer failed the gate: residual 0\.25, tol=1e-09$"
+    with pytest.raises(ConvergenceError, match=message):
+        stationary_distribution(singular, 1e-9)
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 17, 40])
+def test_gth_stack_matches_single_matrix(m):
+    rng = np.random.default_rng(m)
+    kernels = np.stack([random_chain_kernel(rng, m) for _ in range(5)])
+    mus = reversible._gth(kernels)
+    for arr, mu in zip(kernels, mus):
+        assert np.array_equal(mu, reversible._gth(arr[None])[0])
+        assert np.allclose(mu, stationary_distribution(arr), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])

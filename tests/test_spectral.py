@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,16 @@ def test_bound_chain_frozen():
     mu1 = [2.0 / 3.0, 1.0 / 3.0]
     mu2 = [1.0 / 3.0, 2.0 / 3.0]
     assert abs(bound_chain([0.5, 0.5], [mu1, mu2]) - bound_pair(0.5, 0.5, mu1, mu2)) < 1e-15
+
+
+def test_bound_chain_overflowed_ratio_is_vacuous_even_at_rate_zero():
+    with np.errstate(over="ignore"):
+        chain = bound_chain([0.0, 0.5], [[1e200, 1e-200], [1e-200, 1e200]])
+        pair = bound_pair(0.0, 0.0, [1.8e8], [1e-300])
+    assert chain == math.inf
+    assert pair == math.inf
+    report = BoundReport.evaluate(0.0, pair)
+    assert report.satisfied and report.slack == math.inf
 
 
 def test_bound_main_frozen():

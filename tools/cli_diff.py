@@ -70,6 +70,12 @@ def write_inputs(directory: str) -> None:
     files["s8.csv"] = _csv(symmetric)
     symmetric[0, 1] += 1e-13
     files["near8.csv"] = _csv(symmetric)
+    # Two blocks joined by eps = 1e-14: the direct solve fails its gate here.
+    eps = 1e-14
+    files["eps14.csv"] = _csv(
+        [[1 - eps, eps, 0.0, 0.0], [0.5, 0.5 - eps, eps, 0.0],
+         [0.0, eps, 0.5 - eps, 0.5], [0.0, 0.0, eps, 1 - eps]]
+    )
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -85,7 +91,11 @@ def invocations() -> list[list[str]]:
     for m in ("8", "16"):
         runs.append(["gen", "--m", m, "--seed", "3"])
         runs.append(["gen", "--m", m, "--seed", "3", "--sparsity", "0.6", "--format", "structured"])
+    runs.append(["gen", "--m", "64", "--seed", "3", "--sparsity", "0.6"])
     runs.append(["stationary", "--matrix", "k16.csv"])
+    runs.append(["stationary", "--matrix", "eps14.csv"])
+    runs.append(["stationary", "--matrix", "eps14.csv", "--format", "structured"])
+    runs.append(["check-reversible", "--matrix", "eps14.csv", "--format", "structured"])
     runs.append(["check-reversible", "--matrix", "k16.csv", "--format", "structured"])
     for method in ("auto", "jacobi", "qr"):
         runs.append(["spectral", "--matrix", "k8.csv", "--method", method])
