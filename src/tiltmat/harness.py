@@ -9,6 +9,7 @@ products; it records residuals and never asserts the answer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,8 +173,15 @@ def conjecture_scan(
     call, with results bit-identical to computing each trial on its own; a
     failing cell's error is re-raised naming the cell.  A pass holds as many
     cells as keep its ``(cells, n_max, m, m)`` factor stack within
-    ``_STACK_BYTES``, at least one.  Each cell's generators are seeded from
-    the same entropy pool as ``SeedSequence((base_seed, m, n, trial)).spawn(2)``.
+    ``_STACK_BYTES``, at least one.
+
+    A cell draws its kernel from ``default_rng(seed)``, where ``seed`` (the
+    trial's ``seed``) is the first 64 bits of child 0 of
+    ``SeedSequence((base_seed, m, n, trial)).spawn(2)``, and its tilt vectors
+    from ``default_rng(child 1)``.  The ``PCG64`` states of every cell of the
+    scan are computed in one vectorised pass of ``SeedSequence``'s hash and
+    ``PCG64``'s seeding step, bit-identical to numpy's; each cell then draws
+    from one ``Generator`` of this call, its state set per stream.
     """
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
@@ -188,40 +196,35 @@ def conjecture_scan(
     if not ns or min(ns) < 1:
         raise ValueError(f"n_range must contain integers >= 1, got {ns}")
 
-    trials = []
-    for m in ms:
-        cells = [(n, t) for n in ns for t in range(trials_per_cell)]
+    keys = [(m, n, t) for m in ms for n in ns for t in range(trials_per_cell)]
+    streams = _cell_streams(base_seed, keys)
+    # One generator per call, its state set per stream, so concurrent scans
+    # never share one.
+    rng = np.random.Generator(np.random.PCG64())
+    trials, cells = [], len(ns) * trials_per_cell
+    for first, m in zip(range(0, len(keys), cells), ms):
         per_pass = max(1, _STACK_BYTES // (8 * m * m * ns[-1]))
-        for start in range(0, len(cells), per_pass):
-            trials += _scan_cells(m, cells[start : start + per_pass], base_seed, u_spread, tol)
+        for start in range(first, first + cells, per_pass):
+            stop = min(start + per_pass, first + cells)
+            trials += _scan_cells(keys[start:stop], streams[start:stop], rng, u_spread, tol)
     return trials
 
 
-def _scan_cells(m, cells, base_seed, u_spread, tol) -> list[ConjectureTrial]:
-    """Draw the (n, trial) cells of one m, sorted by n, and scan them as one stack."""
-    # The children of SeedSequence((base_seed, m, n, t)).spawn(2) built from
-    # the uint32 words numpy assembles for them: each int of the entropy split
-    # into little-endian 32-bit words, then the spawn key (the child's index).
-    # Four ints give at least four words, so the pool is never padded, and
-    # NumPy's stream-compatibility policy (NEP 19) keeps this rule fixed.
-    head = _words(base_seed) + [m]
-    seeds, draws, us = [], [], []
-    for n, t in cells:
-        key = head + [n, t]
-        chain_entropy = np.random.SeedSequence(np.array(key + [0], dtype=np.uint32))
-        u_entropy = np.random.SeedSequence(np.array(key + [1], dtype=np.uint32))
-        # generate_state(1, np.uint64) joins these two words little-endian.
-        low, high = chain_entropy.generate_state(2).tolist()
-        seeds.append(low | high << 32)
-        draws.append(_reversible_draws(m, np.random.default_rng(seeds[-1])))
-        rng = np.random.default_rng(u_entropy)
+def _scan_cells(keys, streams, rng, u_spread, tol) -> list[ConjectureTrial]:
+    """Draw the (m, n, trial) cells of one m, sorted by n, and scan them as one stack."""
+    m = keys[0][0]
+    draws, us = [], []
+    for (_, n, _), (_, chain_stream, u_stream) in zip(keys, streams):
+        rng.bit_generator.state = _pcg64_state(*chain_stream)
+        draws.append(_reversible_draws(m, rng))
+        rng.bit_generator.state = _pcg64_state(*u_stream)
         us.append(rng.uniform(1.0, 1.0 + u_spread, size=(n, m)))
     weights = _symmetrised(np.stack(draws))
     try:
         defects, residuals = _scan_stack(weights, us, tol)
     except TiltmatError:
         # Name the first failing cell, with the error its own pass raises.
-        for (n, t), w, u in zip(cells, weights, us):
+        for (_, n, t), w, u in zip(keys, weights, us):
             try:
                 _scan_stack(w[None], [u], tol)
             except TiltmatError as exc:
@@ -229,8 +232,130 @@ def _scan_cells(m, cells, base_seed, u_spread, tol) -> list[ConjectureTrial]:
         raise
     return [
         ConjectureTrial(m, n, seed, float(defect), float(residual))
-        for (n, _), seed, defect, residual in zip(cells, seeds, defects, residuals)
+        for (_, n, _), (seed, _, _), defect, residual in zip(keys, streams, defects, residuals)
     ]
+
+
+def _cell_streams(base_seed: int, keys) -> list[tuple[int, tuple, tuple]]:
+    """Chain seed and the chain and u streams' ``PCG64`` ``(state, inc)`` of each ``(m, n, trial)``.
+
+    The streams of ``SeedSequence((base_seed, m, n, trial)).spawn(2)``'s
+    children, computed for all cells at once.  A child's entropy is the
+    uint32 word array numpy assembles for it: each int split into
+    little-endian 32-bit words, then the spawn key (the child's index).  Four
+    ints give at least four words, so the pool is never padded, and NumPy's
+    stream-compatibility policy (NEP 19) keeps this rule fixed.  Child 0's
+    first two words, joined little-endian, are the chain seed, and
+    ``default_rng(seed)`` draws from ``SeedSequence(seed)``, whose one or two
+    words zero-padded to four hash as its pool does.  Child 1 seeds the u
+    stream directly.
+    """
+    head = np.array(_words(base_seed), dtype=np.uint32)
+    cells = len(keys)
+    entropy = np.empty((2 * cells, head.size + 4), dtype=np.uint32)
+    entropy[:, : head.size] = head
+    entropy[:, head.size : -1] = np.repeat(np.array(keys, dtype=np.uint32), 2, axis=0)
+    entropy[:, -1] = np.tile(np.arange(2, dtype=np.uint32), cells)
+    children = _generate_state(_mix_entropy(entropy))
+    seeds = np.zeros((cells, _POOL_SIZE), dtype=np.uint32)
+    seeds[:, :2] = children[0::2, :2]
+    chain_states = _pcg64_states(_generate_state(_mix_entropy(seeds)))
+    u_states = _pcg64_states(children[1::2])
+    joined = seeds[:, 0].astype(np.uint64) | seeds[:, 1].astype(np.uint64) << np.uint64(32)
+    return list(zip(joined.tolist(), chain_states, u_states))
+
+
+# NumPy's SeedSequence (NEP 19, after O'Neill's seed_seq): the pool size, the
+# hash constants of mix_entropy (A) and of generate_state (B), the mixing
+# multipliers and the xorshift.  All arithmetic is modulo 2**32.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy's pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` values ``init * mult**k`` modulo 2**32 a hash runs through."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)
+
+
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_OTHER_WORDS = [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
+
+
+@functools.lru_cache(maxsize=8)
+def _hashmix_calls(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Xor and multiplier constants of ``mix_entropy``'s ``4 L`` hashmix calls, grouped.
+
+    Each call steps the constant once, whatever the data.  The groups in
+    order: fill the pool, hash each pool word for the other three, then hash
+    each remaining entropy word for all four.
+    """
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * length)
+    consts.setflags(write=False)
+    sizes = [_POOL_SIZE] + [_POOL_SIZE - 1] * _POOL_SIZE + [_POOL_SIZE] * (length - _POOL_SIZE)
+    bounds = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(consts[:-1], bounds), np.split(consts[1:], bounds)))
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).pool`` of each row of a ``(rows, L)`` uint32 array, ``L >= 4``.
+
+    ``mix_entropy`` on every row at once, the calls that hash one value for
+    several pool words made together.  A shorter entropy is the same row
+    zero-padded to four words, since a missing word is hashed as 0.
+    """
+    calls = iter(_hashmix_calls(entropy.shape[1]))
+
+    def hashmix(value):
+        xor, mult = next(calls)
+        value = (value ^ xor) * mult
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    pool = hashmix(entropy[:, :_POOL_SIZE])
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        pool = mix(pool, hashmix(entropy[:, src, None]))
+    return pool
+
+
+def _generate_state(pools: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each pool row, as its eight uint32 words."""
+    words = (np.tile(pools, 2) ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:]
+    return words ^ words >> _XSHIFT
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """The 128-bit ``(state, inc)`` of a ``PCG64`` seeded from each row of eight uint32 words.
+
+    The words, joined little-endian in pairs, give the 128-bit initial state
+    and stream; ``pcg_setseq_128_srandom_r`` then steps the LCG twice.
+    """
+    halves = words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << np.uint64(32)
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in halves.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    """The ``bit_generator.state`` of a ``PCG64`` at ``(state, inc)``."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def _words(value: int) -> list[int]:

@@ -73,12 +73,16 @@ class ReversibleChain:
 def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Stationary distribution of an irreducible square stochastic matrix.
 
-    Solves ``(P^T - I) mu = 0`` with the last equation replaced by the
-    normalization ``sum(mu) = 1`` via partially pivoted elimination.  If that
-    is singular, not positive or leaves a residual ``max |mu P - mu|`` above
-    ``tol``, subtraction-free GTH elimination, accurate componentwise, solves
-    it again and must pass the same gate or raise :class:`ConvergenceError`.
+    ``P`` is certified as :func:`validate_stochastic` certifies it, unless it
+    already is a :class:`StochasticMatrix`.  Solves ``(P^T - I) mu = 0`` with
+    the last equation replaced by the normalization ``sum(mu) = 1`` via
+    partially pivoted elimination.  If that is singular, not positive or
+    leaves a residual ``max |mu P - mu|`` above ``tol``, subtraction-free GTH
+    elimination, accurate componentwise, solves it again and must pass the
+    same gate or raise :class:`ConvergenceError`.
     """
+    if not isinstance(P, StochasticMatrix):
+        P = validate_stochastic(P, tol)
     return readonly(_stationary(as_square_matrix(P, "P"), tol))
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,68 @@ def test_seed_words_match_spawn_key(base_seed, m, n, t):
         direct = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         assert np.array_equal(direct.generate_state(4), spawned.generate_state(4))
     assert harness._words(2**64 + 5) == [5, 0, 1]
+
+
+@pytest.mark.parametrize("base_seed", [0, 123456789, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 17])
+def test_seeding_kernels_match_numpy(base_seed):
+    # Entropy rows of every length the scan makes: the base seed's words and (m, n, t, child).
+    keys = [(1, 1, 0, 0), (3, 2, 1, 1), (9, 7, 2, 0), (40, 3, 29, 1)]
+    entropy = np.array([harness._words(base_seed) + list(key) for key in keys], dtype=np.uint32)
+    pools = harness._mix_entropy(entropy)
+    words = harness._generate_state(pools)
+    states = harness._pcg64_states(words)
+    for row, pool, state_words, state in zip(entropy, pools, words, states):
+        seq = np.random.SeedSequence(row)
+        assert np.array_equal(pool, seq.pool)
+        assert np.array_equal(state_words, seq.generate_state(8))
+        assert np.array_equal(state_words.view("<u8"), seq.generate_state(4, np.uint64))
+        assert harness._pcg64_state(*state) == np.random.PCG64(seq).state
+
+
+@pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_int_seed_pool_is_its_words_zero_padded(value):
+    # SeedSequence(int) hashes a missing pool word as 0.
+    words = harness._words(value)
+    entropy = np.array([words + [0] * (4 - len(words))], dtype=np.uint32)
+    pools = harness._mix_entropy(entropy)
+    assert np.array_equal(pools[0], np.random.SeedSequence(value).pool)
+    state = harness._pcg64_states(harness._generate_state(pools))[0]
+    assert harness._pcg64_state(*state) == np.random.PCG64(value).state
+
+
+@pytest.mark.parametrize("base_seed", [5, 2**64 + 5])
+def test_cell_streams_match_spawned_generators(base_seed):
+    keys = [(m, n, t) for m in (1, 4) for n in (1, 3) for t in range(2)]
+    for (m, n, t), (seed, chain, u) in zip(keys, harness._cell_streams(base_seed, keys)):
+        chain_entropy, u_entropy = np.random.SeedSequence((base_seed, m, n, t)).spawn(2)
+        assert seed == int(chain_entropy.generate_state(1, np.uint64)[0])
+        assert harness._pcg64_state(*chain) == np.random.default_rng(seed).bit_generator.state
+        assert harness._pcg64_state(*u) == np.random.default_rng(u_entropy).bit_generator.state
+
+
+def test_concurrent_scans_match_serial():
+    # Each call draws from a generator of its own, so threads never share a stream.
+    args = [(range(1, 8), range(1, 6), 2, seed, 2.0) for seed in (3, 2**64 + 5, 17)]
+    serial = [conjecture_scan(*a) for a in args]
+    start = threading.Barrier(len(args))
+    results = [None] * len(args)
+
+    def run(k):
+        start.wait(timeout=30)
+        results[k] = [conjecture_scan(*args[k]) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(args))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[expected] * 3 for expected in serial]
 
 
 def test_scan_cell_over_stack_bytes_tilts_in_step_blocks(monkeypatch):

@@ -11,6 +11,7 @@ from tiltmat import (
     NotIrreducibleError,
     NotReversibleError,
     ReversibleChain,
+    RowSumError,
     rank1_sandwich,
     is_aperiodic,
     is_irreducible,
@@ -516,12 +517,24 @@ def test_stationary_stack_falls_back_per_slice(monkeypatch):
     assert np.array_equal(mus[[0, 2, 4]], reversible._stationary(np.stack(good), tol))
 
 
+def test_stationary_certifies_a_raw_matrix():
+    # the first row sums to 1.5: a row-sum error, not a failed stationary gate
+    not_stochastic = [[1.25, 0.25], [0.25, 0.75]]
+    with pytest.raises(RowSumError, match=r"^row 0 sums to 1\.5, off by more than tol=1e-09$"):
+        stationary_distribution(not_stochastic)
+    # a StochasticMatrix is taken as it is, at the tolerance it was certified at
+    loose = validate_stochastic(not_stochastic, 1.0)
+    assert stationary_distribution(loose, 1.0).tolist() == [0.5, 0.5]
+    with pytest.raises(ConvergenceError):
+        stationary_distribution(loose)
+
+
 def test_gth_answer_must_pass_the_stationary_gate():
     # not stochastic: GTH returns (1/2, 1/2), which leaves a residual of 1/4
     singular = np.array([[1.25, 0.25], [0.25, 0.75]])
     message = r"^GTH answer failed the gate: residual 0\.25, tol=1e-09$"
     with pytest.raises(ConvergenceError, match=message):
-        stationary_distribution(singular, 1e-9)
+        reversible._stationary(singular, 1e-9)
 
 
 @pytest.mark.parametrize("m", [2, 3, 9, 17, 40])

@@ -118,6 +118,12 @@ def invocations() -> list[list[str]]:
                 ["conjecture-scan", "--m-max", "4", "--n-max", "3", "--trials", "2",
                  "--seed", "5", "--spread", spread, "--format", fmt]
             )
+    # A three-word seed over the grid the per-trial bit-identity test covers.
+    for fmt in ("csv", "structured"):
+        runs.append(
+            ["conjecture-scan", "--seed", "18446744073709551621", "--m-max", "9", "--n-max", "7",
+             "--trials", "3", "--format", fmt]
+        )
     runs.append(["tilt", "--matrix", "k8.csv", "--vector", "w8.csv"])
     runs.append(["tilt-detect", "--matrix", "tilted8.csv", "--base", "k8.csv"])
     runs.append(
