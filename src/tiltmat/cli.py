@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import normalize_product, tilt, tilt_detect, tilted_product, validate_stochastic
 from .errors import TiltmatError
-from .harness import conjecture_scan, converge_demo
+from .harness import _uniform, conjecture_scan, converge_demo
 from .io import (
     float_repr,
     format_matrix,
@@ -236,8 +236,10 @@ def _cmd_converge(args) -> str:
     if args.schedule == "ones":
         schedule = [np.ones(m)]
     else:
-        rng = np.random.default_rng(args.seed)
-        r = rng.uniform(0.0, args.spread, size=m)
+        try:
+            r = _uniform(args.seed, 0.0, args.spread, m)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         schedule = [1.0 + (0.5 ** i) * r for i in range(1, args.steps + 1)]
     report = converge_demo(chain, schedule, args.steps, args.tol)
     if args.format == "structured":

@@ -335,6 +335,36 @@ def test_converge_steps_too_small(tmp_path, capsys):
     assert err.startswith("usage error:")
 
 
+def test_converge_negative_seed_is_usage_error(tmp_path, capsys):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    argv = ["converge", "--matrix", mat, "--steps", "5", "--seed", "-1"]
+    code, out, err = run(capsys, argv + ["--schedule", "decaying"])
+    assert (code, out, err) == (2, "", "usage error: seed must be >= 0, got -1\n")
+    # The all-ones schedule draws nothing, so it ignores the seed.
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, argv[:-2])[1]
+
+
+def test_decaying_converge_does_not_import_numpy_random(tmp_path):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    env = dict(os.environ)
+    src = str(Path(tiltmat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from tiltmat.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(f'{code} {\"numpy.random\" in sys.modules}')\n"
+    )
+    argv = ["converge", "--matrix", mat, "--steps", "20", "--schedule", "decaying", "--seed", "7"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.stderr == "0 False"
+    assert len(done.stdout.splitlines()) == 3 + 20
+
+
 def test_conjecture_scan_deterministic(capsys):
     argv = [
         "conjecture-scan",

@@ -121,7 +121,7 @@ def test_converge_input_errors():
 
 def test_converge_step_errors_use_stationary_vector_of_each_product():
     # Two 3-state blocks coupled by 1e-4: lambda_2 = 0.9998, so power iteration
-    # stops at its 1000-step cap far from mu_k; the stationary solve answers then.
+    # stops at its _POWER_STEPS cap far from mu_k; the stationary solve answers then.
     block = np.full((3, 3), 1.0 / 3.0)
     P = np.kron(np.eye(2), block)
     P[:3, 3:] = P[3:, :3] = 1e-4 / 3.0
@@ -134,6 +134,52 @@ def test_converge_step_errors_use_stationary_vector_of_each_product():
         mu_k = stationary_distribution(prod)
         assert abs(report.errors[k] - np.abs(prod - mu_k[None, :]).max()) <= 1e-12
     assert abs(report.errors[0] - 0.2999) < 1e-3
+
+
+def assert_errors_match_each_product(chain, schedule, report):
+    for k in range(report.n_steps):
+        prod = tilted_product(chain.kernel, schedule[: k + 1]).matrix
+        mu_k = stationary_distribution(prod)
+        assert abs(report.errors[k] - np.abs(prod - mu_k[None, :]).max()) <= 1e-12
+
+
+def decaying_schedule(m, n, seed):
+    r = np.random.default_rng(seed).uniform(0.0, 0.5, m)
+    return [1.0 + 0.5 ** i * r for i in range(1, n + 1)]
+
+
+def test_converge_slow_chain_falls_back_to_stacked_stationary_solve(monkeypatch):
+    # lambda_2 near 0.99: the first products need hundreds of power steps, more
+    # than the cap, so they reach the stacked solve; later ones settle first.
+    chain = lazy_chain(8, seed=57, hold=0.99)
+    schedule = decaying_schedule(8, 200, seed=57)
+    solved, stationary = [], harness._stationary
+
+    def spy(arr, tol):
+        solved.append(len(arr))
+        return stationary(arr, tol)
+
+    monkeypatch.setattr(harness, "_stationary", spy)
+    report = converge_demo(chain, schedule, n=200)
+    assert len(solved) == 1 and 0 < solved[0] < 200
+    assert_errors_match_each_product(chain, schedule, report)
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_converge_warm_start_crosses_block_boundaries(m):
+    n = 20
+    assert harness._CONVERGE_ENTRIES // (m * m) < n
+    chain = lazy_chain(m, seed=58, hold=0.9)
+    schedule = decaying_schedule(m, n, seed=58)
+    assert_errors_match_each_product(chain, schedule, converge_demo(chain, schedule, n=n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+def test_uniform_matches_default_rng(seed):
+    for m in (1, 8, 64):
+        for spread in (0.0, 0.3, 1.0, 5.0):
+            expected = np.random.default_rng(seed).uniform(0.0, spread, m)
+            assert np.array_equal(harness._uniform(seed, 0.0, spread, m), expected)
 
 
 def test_converge_report_is_frozen():

@@ -76,6 +76,9 @@ def write_inputs(directory: str) -> None:
         [[1 - eps, eps, 0.0, 0.0], [0.5, 0.5 - eps, eps, 0.0],
          [0.0, eps, 0.5 - eps, 0.5], [0.0, 0.0, eps, 1 - eps]]
     )
+    # A slowly mixing chain (lambda_2 near 0.99): converge's first products
+    # need more power steps than its cap and reach the stationary solve.
+    files["hold8.csv"] = _csv(0.99 * np.eye(8) + 0.01 * k8)
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -112,6 +115,14 @@ def invocations() -> list[list[str]]:
             runs.append(["bounds", "--matrix", f"k16.{ext}", *vectors, "--format", fmt])
     for schedule in ("ones", "decaying"):
         runs.append(["converge", "--matrix", "k8.csv", "--steps", "60", "--schedule", schedule])
+    runs.append(["converge", "--matrix", "hold8.csv", "--schedule", "decaying"])
+    runs.append(
+        ["converge", "--matrix", "k8.csv", "--steps", "60", "--schedule", "decaying",
+         "--seed", "18446744073709551621"]
+    )
+    runs.append(
+        ["converge", "--matrix", "hold8.csv", "--schedule", "decaying", "--format", "structured"]
+    )
     for spread in ("0", "1", "10"):
         for fmt in ("csv", "structured"):
             runs.append(
