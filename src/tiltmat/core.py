@@ -184,7 +184,8 @@ def _certified_tilt(arr: np.ndarray, uv: np.ndarray, tol: float) -> StochasticMa
 
 def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Unchecked tilt of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``."""
-    return arr * uv[..., None, :] / _row_weights(arr, uv)[..., :, None]
+    out = arr * uv[..., None, :]
+    return np.divide(out, _row_weights(arr, uv)[..., :, None], out=out)
 
 
 def _row_weights(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -299,9 +300,14 @@ def _bfs_levels(adj: np.ndarray) -> np.ndarray:
 
 def _strongly_connected(arr: np.ndarray) -> np.ndarray:
     """Per matrix of ``arr`` ``(..., m, m)``: is its support digraph strongly connected."""
-    adj = _support(arr)
-    both = np.stack((adj, np.swapaxes(adj, -1, -2)))  # reached from 0, and reaching 0
-    return (_bfs_levels(both) >= 0).all(axis=(0, -1))
+    # Support from and to state 0 everywhere certifies it in one step; search the rest.
+    adj = _support(arr).reshape(-1, *arr.shape[-2:])
+    connected = adj[:, 0].all(axis=-1) & adj[:, :, 0].all(axis=-1)
+    if not connected.all():
+        rest = adj[~connected]
+        both = np.stack((rest, np.swapaxes(rest, -1, -2)))  # reached from 0, and reaching 0
+        connected[~connected] = (_bfs_levels(both) >= 0).all(axis=(0, -1))
+    return connected.reshape(arr.shape[:-2])
 
 
 def is_irreducible(P: StochasticMatrix) -> bool:

@@ -17,14 +17,7 @@ import numpy as np
 
 from .core import _certify, _tilt, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
-from .reversible import (
-    ReversibleChain,
-    _defect,
-    _reversible_draws,
-    _stationary,
-    _symmetrised,
-    _weighted_chain,
-)
+from .reversible import ReversibleChain, _defect, _reversible_weights, _stationary, _weighted_chain
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
 
@@ -133,8 +126,8 @@ def converge_demo(
     The schedule is extended by repeating its last vector when shorter than
     ``n``.  The product is accumulated with per-step row renormalization so
     stochasticity drift stays at rounding level over hundreds of steps.  The
-    schedule is validated once, and the bound curve is computed in one pass
-    as a running product over it.  The prefix products are taken in blocks
+    schedule is validated as one stack, and the bound curve is computed in one
+    pass as a running product over it.  The prefix products are taken in blocks
     of at most ``_CONVERGE_ENTRIES`` matrix entries, each block's factors
     tilted in one call and its ``mu_k`` found together by
     :func:`_principal_vectors`, warm-started at the previous block's last.
@@ -144,16 +137,21 @@ def converge_demo(
     chain.require_reversible(tol)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    schedule = [as_positive_vector(u, f"u_schedule[{k}]") for k, u in enumerate(u_schedule)]
-    if not schedule:
-        raise ValueError("u_schedule must contain at least one vector")
-    m = chain.n_states
-    for k, vec in enumerate(schedule):
-        if vec.shape[0] != m:
-            raise ValueError(f"u_schedule[{k}] has length {vec.shape[0]}, expected {m}")
-    if len(schedule) < n:
-        schedule = schedule + [schedule[-1]] * (n - len(schedule))
-    schedule = schedule[:n]
+    m, schedule = chain.n_states, list(u_schedule)
+    try:
+        tilts = np.array(schedule, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        tilts = np.empty(0)
+    if not (tilts.shape == (len(schedule), m) and np.isfinite(tilts).all() and tilts.min() > 0):
+        # Checked per vector only when the stack fails, to name the first bad vector.
+        checked = [as_positive_vector(u, f"u_schedule[{k}]") for k, u in enumerate(schedule)]
+        if not checked:
+            raise ValueError("u_schedule must contain at least one vector")
+        for k, vec in enumerate(checked):
+            if vec.shape[0] != m:
+                raise ValueError(f"u_schedule[{k}] has length {vec.shape[0]}, expected {m}")
+        tilts = np.stack(checked)
+    tilts = tilts[np.minimum(np.arange(n), len(tilts) - 1)]
 
     predicted = second_eigenvalue_modulus(chain.kernel, chain.stationary, tol)
     if predicted >= 1.0 - 1e-9:
@@ -163,7 +161,6 @@ def converge_demo(
         )
 
     errors = np.empty(n)
-    tilts = np.stack(schedule)
     block = max(1, min(n, _CONVERGE_ENTRIES // (m * m)))
     prefixes = _tilted_prefixes(
         factor
@@ -183,7 +180,7 @@ def converge_demo(
         prods -= mus[:, None, :]
         errors[first : first + len(prods)] = np.abs(prods, out=prods).max(axis=(1, 2))
         mu = mus[-1]
-    bound_curve = _main_bound_curve(predicted, schedule)
+    bound_curve = _main_bound_curve(predicted, tilts.max(axis=1), tilts.min(axis=1))
 
     return ConvergenceReport(n, errors, _fit_rate(errors), predicted, bound_curve)
 
@@ -220,7 +217,8 @@ def conjecture_scan(
     from ``default_rng(child 1)``.  The ``PCG64`` states of every cell of the
     scan are computed in one vectorised pass of ``SeedSequence``'s hash and
     ``PCG64``'s seeding step, bit-identical to numpy's; each cell then draws
-    from one ``Generator`` of this call, its state set per stream.
+    from one ``Generator`` of this call, its state set per stream, into one
+    buffer per pass, scaled as ``uniform`` scales it.
     """
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
@@ -250,22 +248,26 @@ def conjecture_scan(
 
 
 def _scan_cells(keys, streams, rng, u_spread, tol) -> list[ConjectureTrial]:
-    """Draw the (m, n, trial) cells of one m, sorted by n, and scan them as one stack."""
-    m = keys[0][0]
-    draws, us = [], []
-    for (_, n, _), (_, chain_stream, u_stream) in zip(keys, streams):
+    """Draw one m's (m, n, trial) cells, sorted by n, into one buffer; scan them as one stack."""
+    m, k = keys[0][0], len(keys)
+    lengths = np.array([n for _, n, _ in keys])
+    draws = np.empty((k, m * m + m))
+    raw = np.zeros((k, lengths[-1], m))
+    for c, (n, (_, chain_stream, u_stream)) in enumerate(zip(lengths.tolist(), streams)):
         rng.bit_generator.state = _pcg64_state(*chain_stream)
-        draws.append(_reversible_draws(m, rng))
+        rng.random(out=draws[c])
         rng.bit_generator.state = _pcg64_state(*u_stream)
-        us.append(rng.uniform(1.0, 1.0 + u_spread, size=(n, m)))
-    weights = _symmetrised(np.stack(draws))
+        rng.random(out=raw[c, :n].reshape(-1))
+    weights = _reversible_weights(draws, m)
+    # uniform(low, high) is low + (high - low) * random(), bit for bit; the padding becomes 1.
+    tilts = 1.0 + ((1.0 + u_spread) - 1.0) * raw
     try:
-        defects, residuals = _scan_stack(weights, us, tol)
+        defects, residuals = _scan_stack(weights, tilts, lengths, tol)
     except TiltmatError:
         # Name the first failing cell, with the error its own pass raises.
-        for (_, n, t), w, u in zip(keys, weights, us):
+        for c, (_, n, t) in enumerate(keys):
             try:
-                _scan_stack(w[None], [u], tol)
+                _scan_stack(weights[c : c + 1], tilts[c : c + 1, :n], lengths[c : c + 1], tol)
             except TiltmatError as exc:
                 raise type(exc)(f"cell m={m}, n={n}, trial={t}: {exc}") from exc
         raise
@@ -428,19 +430,16 @@ def _uniform(seed: int, low: float, high: float, size: int) -> np.ndarray:
     return low + (high - low) * ((np.array(draws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53)
 
 
-def _scan_stack(weights: np.ndarray, us, tol: float):
-    """Defects and candidate residuals of k cells: weights ``(k, m, m)``, ``us[c]`` ``(n_c, m)``.
+def _scan_stack(weights: np.ndarray, tilts: np.ndarray, lengths: np.ndarray, tol: float):
+    """Defects and candidate residuals of k cells: weights ``(k, m, m)``, tilts ``(k, n_max, m)``.
 
     The steps of :func:`random_reversible`, :func:`tilted_product`,
     :func:`stationary_distribution` and :func:`reversibility_defect`, each on
-    the whole stack, with the same checks.  ``us`` is sorted by length.
+    the whole stack, with the same checks.  Cell c's tilts are its first
+    ``lengths[c]`` rows, the rest 1; ``lengths`` is sorted.
     """
     k, m = weights.shape[:2]
-    lengths = np.array([len(u) for u in us])
     kernel, mu = _weighted_chain(weights)
-    tilts = np.ones((k, lengths[-1], m))
-    for c, u in enumerate(us):
-        tilts[c, : len(u)] = u
     as_positive_vector(tilts.reshape(-1), "us")
 
     # Step j continues the cells with more than j factors, a suffix of the stack.

@@ -258,7 +258,7 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
     rng = np.random.default_rng(seed)
-    weights = _symmetrised(_reversible_draws(m, rng))
+    weights = _reversible_weights(rng.random(m * m + m), m)
     if sparsity > 0.0 and m > 1:
         order = rng.permutation(m)
         tree = np.zeros((m, m), dtype=bool)
@@ -284,21 +284,15 @@ def _weighted_chain(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kernel, row_mass / row_mass.sum(axis=-1, keepdims=True)
 
 
-def _reversible_draws(m: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws behind :func:`random_reversible`'s weights, before :func:`_symmetrised`.
+def _reversible_weights(draws: np.ndarray, m: int) -> np.ndarray:
+    """:func:`random_reversible`'s symmetric weights from uniforms ``(..., m*m + m)`` in [0, 1).
 
-    Off-diagonal entries are uniform in [0, 1) and the diagonal holds a
-    second draw, uniform in [0.5, 1.5).
+    The first ``m*m``, as an ``(m, m)`` matrix, give each entry the mean of its
+    draw and its mirror; the last ``m`` give the diagonal ``0.5 + d``, which
+    symmetrising would keep: ``0.5 * (x + x) == x`` in floating point.
     """
-    draws = rng.random((m, m))
-    draws.flat[:: m + 1] = rng.uniform(0.5, 1.5, size=m)
-    return draws
-
-
-def _symmetrised(draws: np.ndarray) -> np.ndarray:
-    """Symmetric weights from one matrix of draws or a stack ``(..., m, m)``.
-
-    Each entry is the mean of the draw and its mirror, so the diagonal keeps
-    its draw exactly: ``0.5 * (d + d) == d`` in floating point.
-    """
-    return 0.5 * (draws + np.swapaxes(draws, -1, -2))
+    batch = draws.shape[:-1]
+    off = draws[..., : m * m].reshape(*batch, m, m)
+    weights = 0.5 * (off + np.swapaxes(off, -1, -2))
+    weights.reshape(*batch, m * m)[..., :: m + 1] = 0.5 + draws[..., m * m :]
+    return weights

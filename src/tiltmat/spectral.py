@@ -223,14 +223,15 @@ def bound_main(lambda2_P: float, us) -> float:
     vectors = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
     if not vectors:
         raise ValueError("us must contain at least one vector")
-    return float(_main_bound_curve(lambda2_P, vectors)[-1])
+    highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
+    return float(_main_bound_curve(lambda2_P, highs, lows)[-1])
 
 
-def _main_bound_curve(lambda2_P: float, vectors) -> np.ndarray:
-    """:func:`bound_main` of every prefix of an unchecked schedule, in one pass.
+def _main_bound_curve(lambda2_P: float, highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
+    """:func:`bound_main` of every prefix of a schedule, given each ``max u_i`` and ``min u_i``.
 
     Entry k is ``lambda2**(k+1) * prod_{i<=k} (max u_i / min u_i)**4``.  The
-    powers are Python float ``**`` and the product is a running product in
+    ratios, the powers and the running product are Python float arithmetic in
     schedule order, so entry k equals ``bound_main(lambda2_P, vectors[:k+1])``
     bit for bit.  Once the product of ratios overflows, the bound is vacuous
     and reads inf, also where ``lambda2**(k+1)`` is 0.
@@ -238,8 +239,8 @@ def _main_bound_curve(lambda2_P: float, vectors) -> np.ndarray:
     lam = float(lambda2_P)
     curve = []
     spread = 1.0
-    for k, v in enumerate(vectors, start=1):
-        spread *= _power(float(v.max()) / float(v.min()), 4)
+    for k, (high, low) in enumerate(zip(highs.tolist(), lows.tolist()), start=1):
+        spread *= _power(high / low, 4)
         curve.append(math.inf if spread == math.inf else _power(lam, k) * spread)
     return np.array(curve)
 

@@ -655,3 +655,68 @@ def test_certify_stack_errors_locate_within_matrix():
     stack[1, 2, 0] = np.nan
     with pytest.raises(NonFiniteError):
         core._certify(stack, 1e-9)
+
+
+def reference_strongly_connected(adj):
+    """Strong connectivity of one boolean adjacency matrix by Warshall's transitive closure."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    return bool(reach.all())
+
+
+def mixed_support_stack(rng, m, count):
+    """Matrices of four kinds in turn: star-supported, cycle-only, source and sink.
+
+    A star matrix has support to and from state 0 everywhere.  A cycle-only
+    matrix joins all states in one random cycle and has ``[0, 0] == 0``, so
+    state 0 never certifies it in one step.  For m > 1 a source matrix has
+    support from state 0 to every state but no edge out of a random set of
+    states without 0, so it is reducible; a sink matrix is a source's
+    transpose.
+    """
+    extra = rng.uniform(size=(count, m, m)) < 0.3
+    stack = np.where(extra, rng.uniform(0.5, 1.5, (count, m, m)), 0.0)
+    kinds = [("star", "cycle", "source", "sink")[c % (4 if m > 1 else 2)] for c in range(count)]
+    for c, kind in enumerate(kinds):
+        if kind == "star":
+            stack[c, 0] = stack[c, :, 0] = rng.uniform(0.5, 1.5, m)
+        elif kind == "cycle":
+            order = rng.permutation(m)
+            stack[c, order, np.roll(order, -1)] = rng.uniform(0.5, 1.5, m)
+            stack[c, 0, 0] = 0.0
+        else:
+            stack[c, 0] = rng.uniform(0.5, 1.5, m)
+            closed = 1 + rng.permutation(m - 1)[: rng.integers(1, m)]
+            others = np.setdiff1d(np.arange(m), closed)
+            stack[c][np.ix_(closed, others)] = 0.0
+            if kind == "sink":
+                stack[c] = stack[c].T
+    return stack, np.array(kinds)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_strongly_connected_matches_transitive_closure(m, monkeypatch):
+    rng = np.random.default_rng(600 + m)
+    stack, kinds = mixed_support_stack(rng, m, 24)
+    expected = [reference_strongly_connected(arr > 0.0) for arr in stack]
+    connected = np.isin(kinds, ["star", "cycle"])
+    assert np.array_equal(expected, connected)
+    searched = []
+    bfs = core._bfs_levels
+
+    def spy(adj):
+        searched.append(adj.shape)
+        return bfs(adj)
+
+    monkeypatch.setattr(core, "_bfs_levels", spy)
+    assert core._strongly_connected(stack).tolist() == expected
+    grid = core._strongly_connected(stack.reshape(4, 6, m, m))
+    assert grid.tolist() == np.reshape(expected, (4, 6)).tolist()
+    assert [bool(core._strongly_connected(arr)) for arr in stack] == expected
+    # Only the matrices without the one-step certificate were searched.
+    uncertified = int((kinds != "star").sum())
+    assert searched[:2] == [(2, uncertified, m, m)] * 2
+    searched.clear()
+    assert core._strongly_connected(stack[kinds == "star"]).all()
+    assert searched == []

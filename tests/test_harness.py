@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def test_converge_bound_curve_dominates():
     c0 = report.errors[0] / report.bound_curve[0]
     valid = report.errors >= 1e-13
     assert np.all(report.errors[valid] <= 2.0 * c0 * report.bound_curve[valid])
+
+
+def test_converge_overflowing_tilt_ratio_reads_inf_without_warning():
+    # max u / min u overflows: the bound is vacuous, and no RuntimeWarning reaches stderr
+    u = np.array([1e308, 1e-308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = converge_demo(random_reversible(2, seed=56), [u], n=3)
+        assert bound_main(0.5, [u]) == np.inf
+    assert np.array_equal(report.bound_curve, [np.inf] * 3)
 
 
 def test_converge_tail_ratio_tracks_second_eigenvalue():
@@ -274,6 +285,14 @@ def test_scan_matches_per_trial_bit_for_bit(base_seed, u_spread, trials_per_cell
     assert conjecture_scan(*args) == per_trial_scan(*args)
 
 
+@pytest.mark.parametrize("u_spread", [0.1, 3.7, 1e-300])
+def test_scan_spread_scaling_matches_uniform_bit_for_bit(u_spread):
+    # The scan scales raw draws as 1 + width * random(); uniform(1, 1 + spread) does the same.
+    for base_seed in (0, 2**64 + 5):
+        args = (range(1, 10), range(1, 8), 2, base_seed, u_spread)
+        assert conjecture_scan(*args) == per_trial_scan(*args)
+
+
 @pytest.mark.parametrize("base_seed", [0, 1, 7, 123456789, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5])
 @pytest.mark.parametrize("m, n, t", [(1, 1, 0), (3, 2, 1), (9, 7, 2)])
 def test_seed_words_match_spawn_key(base_seed, m, n, t):
@@ -385,15 +404,17 @@ def test_scan_failing_cell_is_named(monkeypatch, bad_weights, error):
     # one cell draws a kernel the per-trial path rejects with `error`
     target = conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)[3]
     assert target.n == 2
-    draw = harness._reversible_draws
-    target_draws = draw(4, np.random.default_rng(target.seed))
+    make_weights = harness._reversible_weights
+    target_draws = np.random.default_rng(target.seed).random(4 * 4 + 4)
     weights = bad_weights(4, target.seed, 0.0)
-    def patched(m, rng):
-        # The bad weights are symmetric, so the scan's symmetrising keeps them.
-        draws = draw(m, rng)
-        return weights if np.array_equal(draws, target_draws) else draws
 
-    monkeypatch.setattr(harness, "_reversible_draws", patched)
+    def patched(draws, m):
+        # The pass's weights, with the target cell's swapped for the bad ones.
+        stack = make_weights(draws, m)
+        stack[(draws == target_draws).all(axis=-1)] = weights
+        return stack
+
+    monkeypatch.setattr(harness, "_reversible_weights", patched)
     with np.errstate(invalid="ignore"), pytest.raises(error) as caught:
         conjecture_scan([4], [1, 2, 3], trials_per_cell=2, base_seed=9)
     assert str(caught.value).startswith("cell m=4, n=2, trial=1: ")

@@ -567,3 +567,34 @@ def test_zero_stationary_message_prints_plain_float():
     chain = ReversibleChain(validate_stochastic(np.eye(2)), np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ZeroStationaryError, match=r"^stationary component 1 is 0\.0$"):
         symmetrize(chain)
+
+
+def two_call_random_reversible(m, seed, sparsity):
+    """``random_reversible`` drawn in two calls: the off-diagonal draws, then the diagonal."""
+    rng = np.random.default_rng(seed)
+    draws = rng.random((m, m))
+    draws.flat[:: m + 1] = rng.uniform(0.5, 1.5, size=m)
+    weights = 0.5 * (draws + draws.T)
+    if sparsity > 0.0 and m > 1:
+        order = rng.permutation(m)
+        tree = np.zeros((m, m), dtype=bool)
+        for k in range(1, m):
+            tree[order[k], order[rng.integers(0, k)]] = True
+        upper_i, upper_j = np.triu_indices(m, k=1)
+        values = weights[upper_i, upper_j]
+        cut = (values < np.quantile(values, sparsity)) & ~(tree | tree.T)[upper_i, upper_j]
+        weights[upper_i[cut], upper_j[cut]] = 0.0
+        weights[upper_j[cut], upper_i[cut]] = 0.0
+    row_mass = weights.sum(axis=1)
+    return weights / row_mass[:, None], row_mass / row_mass.sum()
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.6])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+def test_random_reversible_matches_two_call_draw(m, sparsity):
+    # One rng.random(m*m + m) call leaves the stream where the two calls did.
+    for seed in (0, 17, 2**64 + 5):
+        chain = random_reversible(m, seed, sparsity)
+        kernel, mu = two_call_random_reversible(m, seed, sparsity)
+        assert chain.kernel.matrix.tobytes() == kernel.tobytes()
+        assert chain.stationary.tobytes() == mu.tobytes()

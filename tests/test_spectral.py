@@ -441,8 +441,9 @@ def test_main_bound_curve_overflows_to_inf():
     huge = np.array([1.0, 1e100])
     assert bound_main(0.5, [huge]) == np.inf
     vectors = [np.array([1.0, 2.0]), huge, huge]
+    highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
     for lam in (0.0, 1e-300, 0.5):
-        curve = _main_bound_curve(lam, vectors)
+        curve = _main_bound_curve(lam, highs, lows)
         assert curve[0] == lam * 16.0
         assert np.array_equal(curve[1:], [np.inf, np.inf])
         assert all(curve[k] == bound_main(lam, vectors[: k + 1]) for k in range(3))

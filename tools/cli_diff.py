@@ -129,6 +129,10 @@ def invocations() -> list[list[str]]:
                 ["conjecture-scan", "--m-max", "4", "--n-max", "3", "--trials", "2",
                  "--seed", "5", "--spread", spread, "--format", fmt]
             )
+    # The tilt scaling 1 + width * random() at its extremes: the widest spread
+    # and a grid of one-state chains only.
+    runs.append(["conjecture-scan", "--spread", "1e308"])
+    runs.append(["conjecture-scan", "--m-min", "1", "--m-max", "1"])
     # A three-word seed over the grid the per-trial bit-identity test covers.
     for fmt in ("csv", "structured"):
         runs.append(
