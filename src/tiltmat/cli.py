@@ -22,13 +22,7 @@ import numpy as np
 from .core import normalize_product, tilt, tilt_detect, tilted_product, validate_stochastic
 from .errors import TiltmatError
 from .harness import _uniform, conjecture_scan, converge_demo
-from .io import (
-    float_repr,
-    format_matrix,
-    format_vector,
-    parse_matrix,
-    parse_vector,
-)
+from .io import _matrix_object, float_repr, format_matrix, format_vector, parse_matrix, parse_vector
 from .reversible import (
     ReversibleChain,
     random_reversible,
@@ -102,11 +96,7 @@ def _cmd_normalize_product(args) -> str:
             {
                 "scale": [float(x) for x in fact.scale],
                 "log_scale": fact.log_scale,
-                "kernel": {
-                    "rows": fact.kernel.rows,
-                    "cols": fact.kernel.cols,
-                    "data": [[float(x) for x in row] for row in fact.kernel.matrix],
-                },
+                "kernel": _matrix_object(fact.kernel.matrix),
             }
         )
     header = (
@@ -317,9 +307,7 @@ def _cmd_gen(args) -> str:
     if args.format == "structured":
         return _structured(
             {
-                "rows": chain.kernel.rows,
-                "cols": chain.kernel.cols,
-                "data": [[float(x) for x in row] for row in chain.kernel.matrix],
+                **_matrix_object(chain.kernel.matrix),
                 "stationary": [float(x) for x in chain.stationary],
                 "defect": chain.defect,
             }

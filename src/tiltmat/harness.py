@@ -17,7 +17,9 @@ import numpy as np
 
 from .core import _certify, _tilt, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
-from .reversible import ReversibleChain, _defect, _reversible_weights, _stationary, _weighted_chain
+from .reversible import (
+    ReversibleChain, _defect, _reversible_weights, _stationary, _tilted_mu, _weighted_chain
+)
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
 from .validation import DEFAULT_TOL, as_positive_vector, readonly
 
@@ -450,10 +452,7 @@ def _scan_stack(weights: np.ndarray, tilts: np.ndarray, lengths: np.ndarray, tol
     products = _certify(products, tol)
     mu_actual = _stationary(products, tol)
 
-    first = _unit_scaled(tilts[:, 0])
-    last = _unit_scaled(tilts[np.arange(k), lengths - 1])
-    candidate = (kernel @ first[..., None])[..., 0] * mu * last
-    candidate /= candidate.sum(axis=-1, keepdims=True)
+    candidate = _tilted_mu(kernel, mu, tilts[:, 0], tilts[np.arange(k), lengths - 1])
     return _defect(products, mu_actual), np.abs(mu_actual - candidate).max(axis=-1)
 
 
@@ -471,11 +470,3 @@ def _factor_steps(kernel: np.ndarray, tilts: np.ndarray, starts: np.ndarray):
         for j in range(first, min(first + block, n_max)):
             yield factors[starts[j] :, j - first]
 
-
-def _unit_scaled(u: np.ndarray) -> np.ndarray:
-    """``u`` times the power of two that puts its largest component in [0.5, 1).
-
-    The scaling is exact, so it cancels in a normalization bit for bit while
-    keeping products of huge tilt components finite.
-    """
-    return np.ldexp(u, -np.frexp(u.max(axis=-1, keepdims=True))[1])

@@ -129,13 +129,13 @@ def format_matrix(matrix, fmt: str = "csv") -> str:
         lines = [",".join(float_repr(x) for x in row) for row in arr]
         return "\n".join(lines) + "\n"
     if fmt == "structured":
-        payload = {
-            "rows": arr.shape[0],
-            "cols": arr.shape[1],
-            "data": [[float(x) for x in row] for row in arr],
-        }
-        return json.dumps(payload) + "\n"
+        return json.dumps(_matrix_object(arr)) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _matrix_object(arr: np.ndarray) -> dict:
+    """The structured format's ``{"rows", "cols", "data"}`` object of a 2-D float array."""
+    return {"rows": arr.shape[0], "cols": arr.shape[1], "data": arr.tolist()}
 
 
 def format_vector(vector, fmt: str = "csv") -> str:

@@ -20,6 +20,7 @@ from .core import (
     _certify,
     _state_vector,
     _strongly_connected,
+    _tilt,
     validate_stochastic,
 )
 from .errors import (
@@ -96,9 +97,6 @@ def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
     if not _strongly_connected(arr).all():
         raise NotIrreducibleError("matrix is not irreducible; stationary distribution is not unique")
     n = arr.shape[-1]
-    if n == 1:
-        return np.ones(arr.shape[:-1])
-
     system = np.swapaxes(arr, -1, -2).copy()
     system.reshape(*arr.shape[:-2], n * n)[..., :: n + 1] -= 1.0
     system[..., -1, :] = 1.0
@@ -176,17 +174,16 @@ def tilted_stationary(
 
     For reversible ``(P, mu)`` the tilt ``U = tilt(P, u)`` is again reversible
     and its stationary distribution is the normalization of
-    ``u o (P u) o mu`` (entrywise products).  No eigenproblem is solved; the
-    closed form is exact up to rounding.  ``u`` is checked once; the tilt of
-    the certified kernel gets the certificate :func:`tilt` would give it.
+    ``(P u) o mu o u`` (entrywise products), which :func:`_tilted_mu`
+    computes without overflow for any spread of ``u``.  No eigenproblem is
+    solved; the closed form is exact up to rounding.  ``u`` is checked once;
+    the tilt of the certified kernel gets the certificate :func:`tilt` would
+    give it.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
-    tilted = _certified_tilt(P, uv, tol)
-    mu_u = uv * (P @ uv) * chain.stationary
-    mu_u /= mu_u.sum()
-    return tilted, readonly(mu_u)
+    return _certified_tilt(P, uv, tol), readonly(_tilted_mu(P, chain.stationary, uv))
 
 
 def two_tilt_product(
@@ -195,9 +192,10 @@ def two_tilt_product(
     """Product of two tilts of one reversible kernel, with stationary vector.
 
     Returns ``W = tilt(P, u) @ tilt(P, v)`` and ``mu_W``, the normalization
-    of ``(P u) o mu o v``, which is stationary for ``W``.  Each tilt and the
-    product are certified as :func:`tilt` and :func:`validate_stochastic`
-    certify them.
+    of ``(P u) o mu o v``, which is stationary for ``W`` and which
+    :func:`_tilted_mu` computes without overflow for any spread of ``u`` and
+    ``v``.  Each tilt and the product are certified as :func:`tilt` and
+    :func:`validate_stochastic` certify them.
 
     For reversible ``(P, mu)``, ``W`` is reversible with respect to
     ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
@@ -213,11 +211,10 @@ def two_tilt_product(
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     vv = _state_vector(v, "v", P.shape[0])
-    first = _certified_tilt(P, uv, tol).matrix
-    second = _certified_tilt(P, vv, tol).matrix
+    first = _certify(_tilt(P, uv), tol)
+    second = _certify(_tilt(P, vv), tol)
     product = StochasticMatrix(_certify(first @ second, tol), tol)
-    mu_w = (P @ uv) * chain.stationary * vv
-    mu_w /= mu_w.sum()
+    mu_w = _tilted_mu(P, chain.stationary, uv, vv)
 
     defect = float(_defect(product.matrix, mu_w))
     if not defect <= tol:
@@ -226,6 +223,23 @@ def two_tilt_product(
             f"above tol={tol!r}; the input chain is too far from detailed balance"
         )
     return product, readonly(mu_w)
+
+
+def _tilted_mu(kernel: np.ndarray, mu: np.ndarray, *ends: np.ndarray) -> np.ndarray:
+    """Normalized ``(kernel u_first) o mu o u_last`` of one chain, or of each chain of a stack.
+
+    ``ends`` are ``u_first`` and ``u_last``, or one vector that is both: the
+    closed-form stationary vector of a tilt (``u``) and of a product of two
+    tilts (``u``, ``v``), and the conjecture scan's candidate for ``n`` tilts
+    (``u_1``, ``u_n``).  Each is first scaled by the power of two that puts
+    its largest component in [0.5, 1).  That is exact, so it cancels in the
+    normalization bit for bit unless a component falls below the normal
+    range, and no product overflows however wide the tilts spread.
+    """
+    scaled = [np.ldexp(u, -np.frexp(u.max(-1, keepdims=True))[1]) for u in ends]
+    out = (kernel @ scaled[0][..., None])[..., 0] * mu * scaled[-1]
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -239,8 +253,13 @@ def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:
     if mu.min() <= 0.0:
         worst = int(np.argmin(mu))
         raise ZeroStationaryError(f"stationary component {worst} is {float(mu[worst])!r}")
+    return _similar_symmetric(chain.kernel.matrix, mu)
+
+
+def _similar_symmetric(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``D^{1/2}(mu) arr D^{-1/2}(mu)``: entries ``sqrt(mu[i]/mu[j]) arr[i,j]``, ``mu > 0``."""
     root = np.sqrt(mu)
-    return root[:, None] * chain.kernel.matrix / root[None, :]
+    return root[:, None] * arr / root[None, :]
 
 
 def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleChain:

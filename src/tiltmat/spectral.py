@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
-from .reversible import _defect, _stationary_residual
+from .reversible import _defect, _similar_symmetric, _stationary_residual
 from .validation import DEFAULT_TOL, as_positive_vector, as_square_matrix
 
 METHOD_JACOBI = "symmetric-jacobi"
@@ -168,13 +168,11 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
                 f"mu has length {muv.shape[0]}, expected {arr.shape[0]}"
             )
         if muv.min() > 0.0 and _stationary_residual(arr, muv) <= tol and _defect(arr, muv) <= tol:
-            root = np.sqrt(muv)
             # The route decomposes the symmetric part of D^{1/2} P D^{-1/2};
             # that shifts eigenvalues by at most the asymmetry, which the
             # detailed-balance gate already bounded.  It is finite unless tol
             # is vacuous; then syevd yields NaN, which _drop_principal rejects.
-            sym = root[:, None] * arr / root[None, :]
-            return _drop_principal(_eigenvalues(sym, METHOD_JACOBI))
+            return _drop_principal(_eigenvalues(_similar_symmetric(arr, muv), METHOD_JACOBI))
     return _drop_principal(_eigenvalues(arr, METHOD_QR))
 
 

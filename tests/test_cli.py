@@ -484,6 +484,23 @@ def test_extreme_tilt_spreads_stay_finite(tmp_path, capsys):
     assert out.splitlines()[-1] == "main,8.999999999999999e-100,inf,true,inf"
 
 
+def test_bounds_tilt_spread_past_the_float_range_exits_0(tmp_path, capsys):
+    # Unscaled, the closed form (P u) o mu o u overflows at u = (1, 1e200).
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    wide = write(tmp_path / "u.csv", "1.0,1e200\n")
+    mirrored = write(tmp_path / "v.csv", "1e200,1.0\n")
+    for vectors in ([wide], [wide, mirrored]):
+        argv = ["bounds", "--matrix", mat]
+        for path in vectors:
+            argv += ["--vector", path]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        # lambda_2 of tilt(P, (1, 1e200)) is 0.9e-199 - 0.25e-200 = 8.75e-200.
+        assert lines[1] == "tilted,8.75e-200,inf,true,inf"
+        assert [line.split(",")[3] for line in lines[1:]] == ["true"] * (len(vectors) + 2)
+
+
 def test_error_messages_print_plain_floats(tmp_path, capsys):
     cases = [
         ("1,2\n3,4\n", "RowSumError: row 1 sums to 7.0, off by more than tol=1e-09\n"),

@@ -234,6 +234,45 @@ def test_certified_matrix_passes_validation_as_it_is():
 
 
 @pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ([[1.0, np.inf]], NonFiniteError, "A contains NaN or infinite entries"),
+        ([1.0, 2.0], DimensionError, "A must be 2-D, got ndim=1"),
+        (np.empty((0, 3)), DimensionError, "A must have positive dimensions, got (0, 3)"),
+        (np.empty((2, 0)), DimensionError, "A must have positive dimensions, got (2, 0)"),
+    ],
+)
+def test_as_matrix_rejects_non_finite_and_malformed(values, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        validation.as_matrix(values, "A")
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]])
+def test_as_vector_flattens_one_row_or_one_column(values):
+    vec = validation.as_vector(values, "u")
+    assert vec.shape == (3,)
+    assert np.array_equal(vec, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], [], [[]], 5.0])
+def test_as_vector_rejects_what_is_not_a_vector(values):
+    with pytest.raises(DimensionError, match=r"^u must be a non-empty 1-D vector$"):
+        validation.as_vector(values, "u")
+
+
+def test_stochastic_matrix_array_protocol():
+    P = validate_stochastic([[0.5, 0.5], [0.25, 0.75]])
+    view = np.asarray(P)
+    assert view is P.matrix and not view.flags.writeable
+    copied = np.array(P, copy=True)
+    assert copied.flags.writeable and not np.shares_memory(copied, P.matrix)
+    assert np.array_equal(copied, P.matrix)
+    narrowed = np.asarray(P, dtype=np.float32)
+    assert narrowed.dtype == np.float32
+    assert np.array_equal(narrowed, P.matrix.astype(np.float32))
+
+
+@pytest.mark.parametrize(
     "call",
     [
         stationary_distribution,

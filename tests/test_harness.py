@@ -130,6 +130,30 @@ def test_converge_input_errors():
         converge_demo(chain, [np.ones(4)], n=10)
 
 
+def test_converge_column_vector_schedule_matches_flat_schedule():
+    # (m, 1) columns fail the stacked check and are checked, then stacked, per vector.
+    chain = random_reversible(3, seed=57)
+    flat = [np.array([1.0, 1.5, 2.0]), np.array([2.0, 1.0, 1.25])]
+    columns = converge_demo(chain, [u[:, None] for u in flat], n=8)
+    expected = converge_demo(chain, flat, n=8)
+    assert np.array_equal(columns.errors, expected.errors)
+    assert np.array_equal(columns.bound_curve, expected.bound_curve)
+    assert columns.fitted_rate == expected.fitted_rate
+
+
+def test_converge_ragged_schedule_names_the_short_vector():
+    chain = random_reversible(3, seed=58)
+    with pytest.raises(ValueError, match=r"^u_schedule\[1\] has length 2, expected 3$"):
+        converge_demo(chain, [np.ones(3), np.ones(2), np.ones(3)], n=5)
+
+
+def test_fit_rate_with_two_steps_above_the_floor_fits_those_two():
+    # Steps 1 and 3 carry signal; the last-half window would hold one step only.
+    errors = np.array([1e-2, 1e-20, 1e-6, 0.0])
+    assert harness._fit_rate(errors) == pytest.approx(1e-2, rel=1e-12)
+    assert harness._fit_rate(np.array([1e-3, 1e-20])) == 0.0
+
+
 def test_converge_step_errors_use_stationary_vector_of_each_product():
     # Two 3-state blocks coupled by 1e-4: lambda_2 = 0.9998, so power iteration
     # stops at its _POWER_STEPS cap far from mu_k; the stationary solve answers then.

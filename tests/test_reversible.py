@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,21 @@ def test_stationary_single_state():
     mu = stationary_distribution([[1.0]])
     assert mu.shape == (1,)
     assert mu[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [[[1.0]], [[1 - 5e-10]], [[1 + 5e-10]], np.ones((2, 1, 1))],
+    ids=["one", "below-one", "above-one", "stack"],
+)
+def test_stationary_one_state_is_exactly_one(arr):
+    # The direct solve of a 1x1 system is the normalization row itself.
+    arr = np.asarray(arr)
+    mu = reversible._stationary(arr, 1e-9)
+    assert mu.shape == arr.shape[:-1]
+    assert np.all(mu == 1.0)
+    if arr.ndim == 2:
+        assert np.array_equal(stationary_distribution(arr), [1.0])
 
 
 def test_stationary_rejects_reducible():
@@ -260,6 +277,69 @@ def test_two_tilt_length_mismatch_names_the_vector():
         two_tilt_product(chain, np.ones(3), np.ones(4))
     with pytest.raises(DimensionError, match=r"^u has length 2, expected 3$"):
         tilted_stationary(chain, [1.0, 2.0])
+
+
+def exact_closed_form(P, mu, first, last):
+    """Normalized ``(P first) o mu o last`` in rational arithmetic on the stored doubles."""
+    terms = [
+        sum(Fraction(p) * Fraction(f) for p, f in zip(row, first)) * Fraction(w) * Fraction(x)
+        for row, w, x in zip(P.tolist(), mu.tolist(), last)
+    ]
+    total = sum(terms)
+    return [t / total for t in terms]
+
+
+def closed_form_relative_bound(m):
+    """Componentwise relative error bound of the computed closed form, all terms non-negative.
+
+    With unit roundoff ``r = 2**-53`` and ``g(k) = k r / (1 - k r)``: a
+    component of ``P first`` is a dot product of ``m`` non-negative terms
+    (``g(m)`` in any summation order), and the products with ``mu`` and
+    ``last`` round twice more, so each term carries ``g(m + 2)``.  Their sum
+    adds ``g(m - 1)``, so the normalizer carries ``g(2m + 1)``, and the
+    division rounds once.  The power-of-two scaling is exact.  The quotient
+    is then within ``(1 + g(m + 3)) / (1 - g(2m + 1)) - 1``, about
+    ``(3m + 4) r``.
+    """
+    r = Fraction(1, 2**53)
+
+    def g(k):
+        return k * r / (1 - k * r)
+
+    return (1 + g(m + 3)) / (1 - g(2 * m + 1)) - 1
+
+
+def assert_matches_exact_closed_form(computed, chain, first, last):
+    P, mu = chain.kernel.matrix, chain.stationary
+    bound = closed_form_relative_bound(P.shape[0])
+    for got, exact in zip(computed.tolist(), exact_closed_form(P, mu, first, last)):
+        assert exact > 0
+        assert abs(Fraction(got) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("u", [[1.0, 1.0, 1e200], [1.0, 1e160, 1.0]])
+def test_tilted_stationary_extreme_tilt_matches_exact_closed_form(u):
+    # Unscaled, u_i (P u)_i reaches 1e319 or more here and overflows.
+    chain = random_reversible(3, seed=1)
+    with np.errstate(all="raise"):
+        _, mu_u = tilted_stationary(chain, u)
+    assert_matches_exact_closed_form(mu_u, chain, u, u)
+
+
+def test_two_tilt_product_extreme_tilts_match_exact_closed_form():
+    chain = random_reversible(3, seed=1)
+    u, v = [1.0, 1.0, 1e200], [1e200, 1.0, 1.0]
+    # W = tilt(P, u) @ tilt(P, v) sums products of two entries near 1e-200;
+    # they flush to zero beside terms of 1e-200 and more, far below W's
+    # rounding, so that underflow alone is let through.
+    with np.errstate(all="raise", under="ignore"):
+        _, mu_w = two_tilt_product(chain, u, v)
+    with np.errstate(all="raise"):
+        kernel_mu = reversible._tilted_mu(
+            chain.kernel.matrix, chain.stationary, np.array(u), np.array(v)
+        )
+    assert kernel_mu.tobytes() == mu_w.tobytes()
+    assert_matches_exact_closed_form(mu_w, chain, u, v)
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,9 @@ def write_inputs(directory: str) -> None:
         "P.csv": "0.9,0.1\n0.2,0.8\n",
         "u.csv": "1.0\n2.0\n",
         "v.csv": "2.0\n1.0\n",
+        # Tilts whose closed-form stationary vector overflows unless u is scaled first.
+        "wide.csv": "1.0,1e200\n",
+        "mirrored.csv": "1e200,1.0\n",
         "k8.csv": _csv(k8),
         "k16.csv": _csv(k16),
         "k16.json": _structured(k16),
@@ -89,6 +92,8 @@ def invocations() -> list[list[str]]:
         ["tilt", "--matrix", "P.csv", "--vector", "u.csv"],
         ["check-reversible", "--matrix", "P.csv"],
         ["bounds", "--matrix", "P.csv", "--vector", "u.csv", "--vector", "v.csv"],
+        ["bounds", "--matrix", "P.csv", "--vector", "wide.csv"],
+        ["bounds", "--matrix", "P.csv", "--vector", "wide.csv", "--vector", "mirrored.csv"],
         ["spectral", "--matrix", "P.csv", "--format", "structured"],
     ]
     for m in ("8", "16"):
