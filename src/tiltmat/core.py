@@ -166,7 +166,7 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """
     arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
-    return _certified_tilt(_nonnegative(arr, tol), uv, tol)
+    return StochasticMatrix(_certify(_tilt(_nonnegative(arr, tol), uv), tol), tol)
 
 
 def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -175,11 +175,6 @@ def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
     if low < -tol:
         raise NegativeEntryError("A must be non-negative")
     return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
-
-
-def _certified_tilt(arr: np.ndarray, uv: np.ndarray, tol: float) -> StochasticMatrix:
-    """:func:`tilt` of a non-negative matrix by a checked vector, without the input checks."""
-    return StochasticMatrix(_certify(_tilt(arr, uv), tol), tol)
 
 
 def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _certified_tilt,
     _certify,
     _state_vector,
     _strongly_connected,
@@ -173,17 +172,17 @@ def tilted_stationary(
     """Tilt a reversible kernel and return the tilt with its stationary vector.
 
     For reversible ``(P, mu)`` the tilt ``U = tilt(P, u)`` is again reversible
-    and its stationary distribution is the normalization of
-    ``(P u) o mu o u`` (entrywise products), which :func:`_tilted_mu`
-    computes without overflow for any spread of ``u``.  No eigenproblem is
-    solved; the closed form is exact up to rounding.  ``u`` is checked once;
-    the tilt of the certified kernel gets the certificate :func:`tilt` would
-    give it.
+    and its stationary distribution is the normalization of ``(P u) o mu o u``
+    (entrywise products), exact up to rounding; :func:`_tilted_mu` evaluates
+    it with power-of-two scaling that no spread of ``u`` overflows.  No
+    eigenproblem is solved.  ``u`` is checked once; the tilt of the certified
+    kernel gets the certificate :func:`tilt` would give it.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
-    return _certified_tilt(P, uv, tol), readonly(_tilted_mu(P, chain.stationary, uv))
+    tilted = StochasticMatrix(_certify(_tilt(P, uv), tol), tol)
+    return tilted, readonly(_tilted_mu(P, chain.stationary, uv))
 
 
 def two_tilt_product(
@@ -193,8 +192,8 @@ def two_tilt_product(
 
     Returns ``W = tilt(P, u) @ tilt(P, v)`` and ``mu_W``, the normalization
     of ``(P u) o mu o v``, which is stationary for ``W`` and which
-    :func:`_tilted_mu` computes without overflow for any spread of ``u`` and
-    ``v``.  Each tilt and the product are certified as :func:`tilt` and
+    :func:`_tilted_mu` evaluates with power-of-two scaling that no spread of
+    ``u`` and ``v`` overflows.  Each tilt and the product are certified as :func:`tilt` and
     :func:`validate_stochastic` certify them.
 
     For reversible ``(P, mu)``, ``W`` is reversible with respect to
@@ -225,21 +224,30 @@ def two_tilt_product(
     return product, readonly(mu_w)
 
 
+# The closed form's largest scaled term is below 2**_TOP: sums of m < 2**60 stay finite.
+_TOP = 960
+
+
 def _tilted_mu(kernel: np.ndarray, mu: np.ndarray, *ends: np.ndarray) -> np.ndarray:
     """Normalized ``(kernel u_first) o mu o u_last`` of one chain, or of each chain of a stack.
 
     ``ends`` are ``u_first`` and ``u_last``, or one vector that is both: the
-    closed-form stationary vector of a tilt (``u``) and of a product of two
-    tilts (``u``, ``v``), and the conjecture scan's candidate for ``n`` tilts
-    (``u_1``, ``u_n``).  Each is first scaled by the power of two that puts
-    its largest component in [0.5, 1).  That is exact, so it cancels in the
-    normalization bit for bit unless a component falls below the normal
-    range, and no product overflows however wide the tilts spread.
+    closed form for a tilt (``u``), a product of two tilts (``u``, ``v``) and
+    the conjecture scan's candidate (``u_1``, ``u_n``).  Powers of two, which
+    cancel in the normalization, put ``max(u_first)`` and then the largest
+    term ``w_i u_last_i``, ``w = (kernel u_first) o mu``, formed from binary
+    fractions and exponents, just below ``2**_TOP``.  Nothing overflows; only
+    a ``w_i`` or ``kernel_ij u_first_j`` under about ``2**-1980 max(u_first)``
+    is subnormal, and only the final division rounds a result below 2**-1022.
     """
-    scaled = [np.ldexp(u, -np.frexp(u.max(-1, keepdims=True))[1]) for u in ends]
-    out = (kernel @ scaled[0][..., None])[..., 0] * mu * scaled[-1]
+    first = np.ldexp(ends[0], _TOP - np.frexp(ends[0].max(axis=-1, keepdims=True))[1])
+    fractions, exponents = np.frexp(((kernel @ first[..., None])[..., 0] * mu, ends[-1]))
+    exponents = exponents[0] + exponents[1]
+    exponents -= exponents.max(axis=-1, keepdims=True) - _TOP
+    out = np.ldexp(fractions[0] * fractions[1], exponents)
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
 
 
 def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -64,21 +64,12 @@ def test_stationary_single_state():
     mu = stationary_distribution([[1.0]])
     assert mu.shape == (1,)
     assert mu[0] == 1.0
-
-
-@pytest.mark.parametrize(
-    "arr",
-    [[[1.0]], [[1 - 5e-10]], [[1 + 5e-10]], np.ones((2, 1, 1))],
-    ids=["one", "below-one", "above-one", "stack"],
-)
-def test_stationary_one_state_is_exactly_one(arr):
     # The direct solve of a 1x1 system is the normalization row itself.
-    arr = np.asarray(arr)
-    mu = reversible._stationary(arr, 1e-9)
-    assert mu.shape == arr.shape[:-1]
-    assert np.all(mu == 1.0)
-    if arr.ndim == 2:
+    for arr in [[[1 - 5e-10]], [[1 + 5e-10]]]:
         assert np.array_equal(stationary_distribution(arr), [1.0])
+    mus = reversible._stationary(np.ones((2, 1, 1)), 1e-9)
+    assert mus.shape == (2, 1)
+    assert np.all(mus == 1.0)
 
 
 def test_stationary_rejects_reducible():
@@ -310,11 +301,29 @@ def closed_form_relative_bound(m):
 
 
 def assert_matches_exact_closed_form(computed, chain, first, last):
+    """Check each component within the relative bound, plus half a subnormal ulp below 2**-1022.
+
+    Below the normal range the final division rounds to a multiple of
+    ``2**-1074`` rather than to a relative half ulp.
+    """
     P, mu = chain.kernel.matrix, chain.stationary
     bound = closed_form_relative_bound(P.shape[0])
     for got, exact in zip(computed.tolist(), exact_closed_form(P, mu, first, last)):
         assert exact > 0
-        assert abs(Fraction(got) - exact) <= bound * exact
+        slack = Fraction(1, 2**1075) if exact < Fraction(1, 2**1022) else 0
+        assert abs(Fraction(got) - exact) <= bound * exact + slack
+
+
+def slow_climb_chain():
+    """13-state birth-death chain, up by 1e-13 and down by 0.5: mu_i is (2e-13)**i, normalized."""
+    P = np.zeros((13, 13))
+    i = np.arange(12)
+    P[i, i + 1] = 1e-13
+    P[i + 1, i] = 0.5
+    P[np.arange(13), np.arange(13)] = 1.0 - P.sum(axis=1)
+    mu = np.cumprod(np.r_[1.0, P[i, i + 1] / P[i + 1, i]])
+    mu /= mu.sum()
+    return ReversibleChain(validate_stochastic(P), mu, reversibility_defect(P, mu))
 
 
 @pytest.mark.parametrize("u", [[1.0, 1.0, 1e200], [1.0, 1e160, 1.0]])
@@ -340,6 +349,47 @@ def test_two_tilt_product_extreme_tilts_match_exact_closed_form():
         )
     assert kernel_mu.tobytes() == mu_w.tobytes()
     assert_matches_exact_closed_form(mu_w, chain, u, v)
+
+
+def spike(state, size):
+    """A tilt of the 13-state chain: 1 everywhere but ``size`` at ``state``."""
+    u = np.ones(13)
+    u[state] = size
+    return u
+
+
+# mu_12 is about 4e-153 and the tilts are 1e160 at one or both ends of the
+# path, so the closed forms span about 1e-295 to 1.  A scaling that put each
+# end's largest component near 1 on its own would leave the terms of states
+# far from the tilts subnormal or zero.
+def test_tilted_stationary_keeps_components_far_below_the_tilt_spread():
+    chain, u = slow_climb_chain(), spike(12, 1e160)
+    with np.errstate(all="raise"):
+        _, mu_u = tilted_stationary(chain, u)
+    assert_matches_exact_closed_form(mu_u, chain, u, u)
+
+
+# In the second case (P u)_10 mu_10 is about 1e-427 times max(u), below the
+# float range, while its term, times v_10 = 1e300, is the largest: u must be
+# scaled up to the top of the range, not down to 1.
+@pytest.mark.parametrize(
+    "u, v", [(spike(12, 1e160), spike(0, 1e160)), (spike(12, 1e300), spike(10, 1e300))]
+)
+def test_two_tilt_product_keeps_components_far_below_the_tilt_spread(u, v):
+    chain = slow_climb_chain()
+    with np.errstate(all="raise", under="ignore"):
+        _, mu_w = two_tilt_product(chain, u, v)
+    assert_matches_exact_closed_form(mu_w, chain, u, v)
+
+
+def test_tilted_stationary_subnormal_component_rounds_once():
+    # mu_u[0] is about 4.7e-309; only the final division may round it.
+    chain = random_reversible(3, seed=1)
+    u = [1e-154, 1.0, 1e154]
+    with np.errstate(all="raise", under="ignore"):
+        _, mu_u = tilted_stationary(chain, u)
+    assert 0.0 < mu_u[0] < 2.0**-1022
+    assert_matches_exact_closed_form(mu_u, chain, u, u)
 
 
 @pytest.mark.parametrize(
