@@ -120,7 +120,10 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     clamped to zero and the affected row is renormalized.  Entries below
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
     ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
+    A :class:`StochasticMatrix` is certified already and is returned as it is.
     """
+    if isinstance(M, StochasticMatrix):
+        return M
     return StochasticMatrix(_certify(_as_2d(M, "matrix"), tol), tol)
 
 
@@ -200,6 +203,25 @@ def _state_vector(values, name: str, m: int) -> np.ndarray:
     return uv
 
 
+def _state_vectors(values, name: str, m: int) -> np.ndarray:
+    """``values`` as an ``(n, m)`` stack of vectors checked as :func:`_state_vector` checks one.
+
+    The stack is checked in one pass; only when that fails are the vectors
+    walked, to name the first bad ``name[k]`` or to stack ``(m, 1)`` columns.
+    """
+    values = list(values)
+    try:
+        stack = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        stack = np.empty(0)
+    if stack.shape == (len(values), m) and np.isfinite(stack).all() and stack.min() > 0.0:
+        return stack
+    checked = [_state_vector(u, f"{name}[{k}]", m) for k, u in enumerate(values)]
+    if not checked:
+        raise DimensionError(f"{name} must contain at least one vector")
+    return np.stack(checked)
+
+
 def _tilted_prefixes(factors):
     """Yield the running products ``F_1``, ``F_1 @ F_2``, ... of given factors; nothing is checked.
 
@@ -223,17 +245,13 @@ def _tilted_prefixes(factors):
 def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Product ``tilt(P, u_1) @ ... @ tilt(P, u_n)`` of tilts of one square kernel.
 
-    Inputs are checked once: ``P`` is certified unless it already is a
-    :class:`StochasticMatrix`, and must be square; every ``u`` must be
-    strictly positive with one component per state.  The factors are then
-    multiplied unchecked, and only the final product is certified.
+    Inputs are checked once: ``P`` by :func:`validate_stochastic` and as
+    square, ``us`` by the one schedule check that ``converge_demo`` makes too
+    (non-empty, each ``u`` strictly positive with one component per state).
+    The factors are then multiplied unchecked; only the product is certified.
     """
-    if not isinstance(P, StochasticMatrix):
-        P = validate_stochastic(P, tol)
-    arr = as_square_matrix(P, "P")
-    uvs = [_state_vector(u, f"us[{k}]", arr.shape[0]) for k, u in enumerate(us)]
-    if not uvs:
-        raise DimensionError("tilted_product needs at least one tilt vector")
+    arr = as_square_matrix(validate_stochastic(P, tol), "P")
+    uvs = _state_vectors(us, "us", arr.shape[0])
     for prod in _tilted_prefixes(_tilt(arr, uv) for uv in uvs):
         pass
     return StochasticMatrix(_certify(prod, tol), tol)
@@ -367,6 +385,10 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
 def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     """Search for a positive u with ``P1 = tilt(P2, u)``.
 
+    The two zero patterns must be equal, compared exactly (``a > 0``): a
+    tilt keeps every exact zero until an entry underflows, but it moves
+    entries against the largest by up to its spread, so a cut relative to
+    the largest entry, as :func:`zero_pattern`'s default, does not survive it.
     The entrywise ratio ``P1/P2`` over the common support must extend to a
     rank-1 positive matrix.  In log space that is an additive model
     ``log ratio = a_i + b_j``; the row offset of state 0 is pinned to 0 and
@@ -380,8 +402,8 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     a2 = as_matrix(P2)
     if a1.shape != a2.shape:
         raise DimensionError(f"shapes {a1.shape} and {a2.shape} differ")
-    support = _support(a2)
-    if not np.array_equal(_support(a1), support):
+    support = a2 > 0.0
+    if not np.array_equal(a1 > 0.0, support):
         raise PatternMismatchError("zero patterns differ, no tilt relation can hold")
 
     m, n = a2.shape

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _certify, _tilt, _tilted_prefixes
+from .core import _certify, _state_vectors, _tilt, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
 from .reversible import (
     ReversibleChain, _defect, _reversible_weights, _stationary, _tilted_mu, _weighted_chain
 )
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
-from .validation import DEFAULT_TOL, as_positive_vector, readonly
+from .validation import DEFAULT_TOL, readonly
 
 # Below this floor the recorded distances are rounding noise, not signal.
 _ERROR_FLOOR = 1e-13
@@ -128,31 +128,20 @@ def converge_demo(
     The schedule is extended by repeating its last vector when shorter than
     ``n``.  The product is accumulated with per-step row renormalization so
     stochasticity drift stays at rounding level over hundreds of steps.  The
-    schedule is validated as one stack, and the bound curve is computed in one
-    pass as a running product over it.  The prefix products are taken in blocks
-    of at most ``_CONVERGE_ENTRIES`` matrix entries, each block's factors
-    tilted in one call and its ``mu_k`` found together by
-    :func:`_principal_vectors`, warm-started at the previous block's last.
-    Raises :class:`PeriodicError` when the kernel's second eigenvalue modulus
-    is 1 within 1e-9, since no convergence rate exists then.
+    schedule is checked once, by the check ``tilted_product`` makes of ``us``
+    and with its errors, and the bound curve is computed in one pass as a
+    running product over it.  The prefix products are taken in blocks of at
+    most ``_CONVERGE_ENTRIES`` matrix entries, each block's factors tilted in
+    one call and its ``mu_k`` found together by :func:`_principal_vectors`,
+    warm-started at the previous block's last.  Raises :class:`PeriodicError`
+    when the kernel's second eigenvalue modulus is 1 within 1e-9, since no
+    convergence rate exists then.
     """
     chain.require_reversible(tol)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    m, schedule = chain.n_states, list(u_schedule)
-    try:
-        tilts = np.array(schedule, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        tilts = np.empty(0)
-    if not (tilts.shape == (len(schedule), m) and np.isfinite(tilts).all() and tilts.min() > 0):
-        # Checked per vector only when the stack fails, to name the first bad vector.
-        checked = [as_positive_vector(u, f"u_schedule[{k}]") for k, u in enumerate(schedule)]
-        if not checked:
-            raise ValueError("u_schedule must contain at least one vector")
-        for k, vec in enumerate(checked):
-            if vec.shape[0] != m:
-                raise ValueError(f"u_schedule[{k}] has length {vec.shape[0]}, expected {m}")
-        tilts = np.stack(checked)
+    m = chain.n_states
+    tilts = _state_vectors(u_schedule, "u_schedule", m)
     tilts = tilts[np.minimum(np.arange(n), len(tilts) - 1)]
 
     predicted = second_eigenvalue_modulus(chain.kernel, chain.stationary, tol)
@@ -442,7 +431,6 @@ def _scan_stack(weights: np.ndarray, tilts: np.ndarray, lengths: np.ndarray, tol
     """
     k, m = weights.shape[:2]
     kernel, mu = _weighted_chain(weights)
-    as_positive_vector(tilts.reshape(-1), "us")
 
     # Step j continues the cells with more than j factors, a suffix of the stack.
     starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1), side="right")

@@ -58,7 +58,7 @@ class ReversibleChain:
         Does not require the kernel to be reversible; the defect field simply
         records how far from detailed balance it is.
         """
-        sm = P if isinstance(P, StochasticMatrix) else validate_stochastic(P, tol)
+        sm = validate_stochastic(P, tol)
         arr = as_square_matrix(sm, "P")
         mu = _stationary(arr, tol)
         return cls(sm, mu, float(_defect(arr, mu)))
@@ -73,17 +73,14 @@ class ReversibleChain:
 def stationary_distribution(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Stationary distribution of an irreducible square stochastic matrix.
 
-    ``P`` is certified as :func:`validate_stochastic` certifies it, unless it
-    already is a :class:`StochasticMatrix`.  Solves ``(P^T - I) mu = 0`` with
-    the last equation replaced by the normalization ``sum(mu) = 1`` via
-    partially pivoted elimination.  If that is singular, not positive or
-    leaves a residual ``max |mu P - mu|`` above ``tol``, subtraction-free GTH
-    elimination, accurate componentwise, solves it again and must pass the
-    same gate or raise :class:`ConvergenceError`.
+    ``P`` is certified by :func:`validate_stochastic`.  Solves
+    ``(P^T - I) mu = 0``, the last equation replaced by the normalization
+    ``sum(mu) = 1``, by partially pivoted elimination.  If that is singular,
+    not positive or leaves a residual ``max |mu P - mu|`` above ``tol``,
+    subtraction-free GTH elimination, accurate componentwise, solves it again
+    and must pass the same gate or raise :class:`ConvergenceError`.
     """
-    if not isinstance(P, StochasticMatrix):
-        P = validate_stochastic(P, tol)
-    return readonly(_stationary(as_square_matrix(P, "P"), tol))
+    return readonly(_stationary(as_square_matrix(validate_stochastic(P, tol), "P"), tol))
 
 
 def _stationary(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -174,15 +171,17 @@ def tilted_stationary(
     For reversible ``(P, mu)`` the tilt ``U = tilt(P, u)`` is again reversible
     and its stationary distribution is the normalization of ``(P u) o mu o u``
     (entrywise products), exact up to rounding; :func:`_tilted_mu` evaluates
-    it with power-of-two scaling that no spread of ``u`` overflows.  No
-    eigenproblem is solved.  ``u`` is checked once; the tilt of the certified
-    kernel gets the certificate :func:`tilt` would give it.
+    it with power-of-two scaling that no spread of ``u`` overflows; a
+    component below the float range, which rounds to 0, raises
+    :class:`ZeroStationaryError`.  No eigenproblem is solved.  ``u`` is
+    checked once; the tilt of the certified kernel gets the certificate
+    :func:`tilt` would give it.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     tilted = StochasticMatrix(_certify(_tilt(P, uv), tol), tol)
-    return tilted, readonly(_tilted_mu(P, chain.stationary, uv))
+    return tilted, readonly(_in_range(_tilted_mu(P, chain.stationary, uv), "the tilt by u"))
 
 
 def two_tilt_product(
@@ -193,8 +192,10 @@ def two_tilt_product(
     Returns ``W = tilt(P, u) @ tilt(P, v)`` and ``mu_W``, the normalization
     of ``(P u) o mu o v``, which is stationary for ``W`` and which
     :func:`_tilted_mu` evaluates with power-of-two scaling that no spread of
-    ``u`` and ``v`` overflows.  Each tilt and the product are certified as :func:`tilt` and
-    :func:`validate_stochastic` certify them.
+    ``u`` and ``v`` overflows; a component below the float range, which
+    rounds to 0, raises :class:`ZeroStationaryError`.  ``u`` and ``v`` are
+    checked once, and only ``W`` is certified, as :func:`validate_stochastic`
+    certifies it: a tilt of a certified kernel has no dust to clamp.
 
     For reversible ``(P, mu)``, ``W`` is reversible with respect to
     ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
@@ -210,10 +211,8 @@ def two_tilt_product(
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     vv = _state_vector(v, "v", P.shape[0])
-    first = _certify(_tilt(P, uv), tol)
-    second = _certify(_tilt(P, vv), tol)
-    product = StochasticMatrix(_certify(first @ second, tol), tol)
-    mu_w = _tilted_mu(P, chain.stationary, uv, vv)
+    product = StochasticMatrix(_certify(_tilt(P, uv) @ _tilt(P, vv), tol), tol)
+    mu_w = _in_range(_tilted_mu(P, chain.stationary, uv, vv), "the product of the tilts by u and v")
 
     defect = float(_defect(product.matrix, mu_w))
     if not defect <= tol:
@@ -248,6 +247,19 @@ def _tilted_mu(kernel: np.ndarray, mu: np.ndarray, *ends: np.ndarray) -> np.ndar
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
+
+def _in_range(mu: np.ndarray, source: str) -> np.ndarray:
+    """``mu``, the closed form of ``source``; a component that rounded to 0 raises.
+
+    The closed form is positive, so a 0 is a true component below the
+    float range, which no caller of ``mu`` should meet as a zero.
+    """
+    if not mu.min() > 0.0:
+        worst = int(np.argmin(mu))
+        raise ZeroStationaryError(
+            f"stationary component {worst} of {source} is below the float range"
+        )
+    return mu
 
 
 def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:

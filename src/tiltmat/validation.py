@@ -23,8 +23,15 @@ from .errors import (
 # Default certification tolerance shared across the package and the CLI.
 DEFAULT_TOL = 1e-9
 
-# Zero-pattern threshold is relative to the largest entry: exact zeros in the
-# underlying math become floating-point dust after repeated products.
+# Support cut relative to the largest entry, used by the irreducibility gate
+# and as zero_pattern's default.  Dust from products is not its reason: a
+# product of non-negative matrices keeps an exact zero exactly, and _certify
+# clamps negative dust to 0.  Its effect is that the gate in front of every
+# stationary solve refuses a chain joined only through transitions below the
+# cut, which keeps the LU solve off chains it gets badly wrong: on the 4-state
+# birth-death chain joined by 1e-16, LU returns mu_0 = 1.8e-15 where the exact
+# value is about 0.5, and passes its residual gate.  Exact support can follow
+# GTH as the primary solver (ROADMAP item 2), never precede it.
 PATTERN_REL_THRESHOLD = 1e-14
 
 

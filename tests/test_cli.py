@@ -501,6 +501,27 @@ def test_bounds_tilt_spread_past_the_float_range_exits_0(tmp_path, capsys):
         assert [line.split(",")[3] for line in lines[1:]] == ["true"] * (len(vectors) + 2)
 
 
+def test_bounds_tilt_spread_past_the_float_range_names_the_tilt(tmp_path, capsys):
+    # mu_u[0] of tilt(P, (1e-300, 1e300)) is about 2.5e-601, below the float range.
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1e-300,1e300\n")
+    code, out, err = run(capsys, ["bounds", "--matrix", mat, "--vector", vec])
+    expected = "stationary component 0 of the tilt by u is below the float range"
+    assert (code, out, err) == (1, "", f"ZeroStationaryError: {expected}\n")
+
+
+def test_tilt_detect_recovers_a_tilt_below_the_relative_cut(tmp_path, capsys):
+    # Every entry of the (1, 1e14) tilt is positive, the smallest 2.5e-15 of the largest.
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1.0,1e14\n")
+    code, out, _ = run(capsys, ["tilt", "--matrix", mat, "--vector", vec])
+    assert code == 0
+    tilted = write(tmp_path / "t.csv", out)
+    code, out, err = run(capsys, ["tilt-detect", "--matrix", tilted, "--base", mat])
+    assert (code, err) == (0, "")
+    assert np.abs(parse_vector(out) / [1e-14, 1.0] - 1.0).max() <= 1e-12
+
+
 def test_error_messages_print_plain_floats(tmp_path, capsys):
     cases = [
         ("1,2\n3,4\n", "RowSumError: row 1 sums to 7.0, off by more than tol=1e-09\n"),

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -630,6 +630,41 @@ def test_tilt_detect_recovers_u_dense_and_sparse(m, sparsity):
         found = tilt_detect(tilt(P, u), P)
         assert found.reason == "ok"
         assert np.abs(found.factor - u / u.max()).max() <= 1e-12
+
+
+@st.composite
+def spread_tilts(draw):
+    """A random reversible kernel, dense or sparse, and a tilt with ``log10 u`` in ``[-d, d]``."""
+    m = draw(st.integers(2, 8))
+    sparsity = draw(st.sampled_from([0.0, 0.5]))
+    P = random_reversible(m, draw(st.integers(0, 2**16)), sparsity).kernel
+    d = draw(st.sampled_from([1.0, 7.0, 15.0, 50.0, 100.0]))
+    return P, 10.0 ** draw(hnp.arrays(np.float64, m, elements=st.floats(-d, d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spread_tilts())
+def test_tilt_detect_inverts_tilt_at_any_spread(case):
+    # Exact zero patterns survive a tilt until an entry underflows, whatever
+    # the spread; a tilt whose pattern changed is skipped.  The factor's log
+    # is a sum of logs of entries down to 1e-200 along at most 2m support
+    # edges, so it is compared with log(u / max u) within 1e-11 absolute.
+    P, u = case
+    tilted = tilt(P, u)
+    assume(np.array_equal(tilted.matrix > 0.0, P.matrix > 0.0))
+    found = tilt_detect(tilted, P)
+    assert found.reason == "ok"
+    assert np.abs(np.log(found.factor) - np.log(u / u.max())).max() <= 1e-11
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the irreducibility gate cuts entries below 1e-14 of the largest; exact "
+    "support must follow GTH as the primary solver (ROADMAP item 2)",
+)
+def test_tilt_keeps_irreducibility_below_the_relative_cut():
+    assert is_irreducible(tilt([[0.9, 0.1], [0.2, 0.8]], [1.0, 1e14]))
 
 
 # ---------------------------------------------------------------- stacks

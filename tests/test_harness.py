@@ -7,6 +7,7 @@ import pytest
 
 from tiltmat import (
     ConjectureTrial,
+    DimensionError,
     NonFiniteError,
     NotIrreducibleError,
     NotReversibleError,
@@ -124,9 +125,9 @@ def test_converge_input_errors():
     chain = random_reversible(3, seed=55)
     with pytest.raises(ValueError):
         converge_demo(chain, [np.ones(3)], n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match=r"^u_schedule must contain at least one vector$"):
         converge_demo(chain, [], n=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match=r"^u_schedule\[0\] has length 4, expected 3$"):
         converge_demo(chain, [np.ones(4)], n=10)
 
 
@@ -141,9 +142,41 @@ def test_converge_column_vector_schedule_matches_flat_schedule():
     assert columns.fitted_rate == expected.fitted_rate
 
 
+BOUNDARY_SCHEDULES = {
+    "empty": [],
+    "ragged": [np.ones(3), np.ones(2), np.ones(3)],
+    "zero": [np.ones(3), [1.0, 0.0, 1.0]],
+    "nan": [[1.0, np.nan, 1.0]],
+    "inf": [np.ones(3), [1.0, np.inf, 1.0]],
+    "string": ["abc"],
+    "too-large-int": [[1, 10**400, 1]],
+    "columns": [np.array([[1.0], [1.5], [2.0]]), np.array([[2.0], [1.0], [1.25]])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_SCHEDULES))
+def test_tilted_product_and_converge_check_a_schedule_alike(case):
+    # One check serves both; only the name differs, us against u_schedule.
+    chain = random_reversible(3, seed=59)
+    schedule = BOUNDARY_SCHEDULES[case]
+    if case == "columns":
+        flat = [u[:, 0] for u in schedule]
+        product = tilted_product(chain.kernel, schedule).matrix
+        assert np.array_equal(product, tilted_product(chain.kernel, flat).matrix)
+        columns, expected = converge_demo(chain, schedule, n=6), converge_demo(chain, flat, n=6)
+        assert np.array_equal(columns.errors, expected.errors)
+        return
+    with pytest.raises(Exception) as product_error:
+        tilted_product(chain.kernel, schedule)
+    with pytest.raises(Exception) as converge_error:
+        converge_demo(chain, schedule, n=6)
+    assert type(converge_error.value) is type(product_error.value)
+    assert str(converge_error.value).replace("u_schedule", "us") == str(product_error.value)
+
+
 def test_converge_ragged_schedule_names_the_short_vector():
     chain = random_reversible(3, seed=58)
-    with pytest.raises(ValueError, match=r"^u_schedule\[1\] has length 2, expected 3$"):
+    with pytest.raises(DimensionError, match=r"^u_schedule\[1\] has length 2, expected 3$"):
         converge_demo(chain, [np.ones(3), np.ones(2), np.ones(3)], n=5)
 
 

@@ -91,9 +91,26 @@ GTH_XFAIL = pytest.mark.xfail(
 )
 
 
+# Exact support alone is not enough: on the eps = 1e-16 chain LU then returns
+# mu_0 = 1.8e-15 for an exact 0.5 and passes its residual gate.
+EXACT_SUPPORT_XFAIL = pytest.mark.xfail(
+    strict=True,
+    raises=NotIrreducibleError,
+    reason="the irreducibility gate cuts transitions below 1e-14 of the largest entry; "
+    "exact support must follow GTH as the primary solver (ROADMAP item 2)",
+)
+
+
 @pytest.mark.parametrize(
     "eps",
-    [1e-4, pytest.param(1e-10, marks=GTH_XFAIL), pytest.param(1e-13, marks=GTH_XFAIL), 1e-14],
+    [
+        1e-4,
+        pytest.param(1e-10, marks=GTH_XFAIL),
+        pytest.param(1e-13, marks=GTH_XFAIL),
+        1e-14,
+        pytest.param(1e-15, marks=EXACT_SUPPORT_XFAIL),
+        pytest.param(1e-16, marks=EXACT_SUPPORT_XFAIL),
+    ],
 )
 def test_stationary_nearly_decomposable_chain_componentwise(eps):
     # Two blocks joined by eps; detailed balance gives mu proportional to [1, 2 eps, 2 eps, 1]
@@ -390,6 +407,22 @@ def test_tilted_stationary_subnormal_component_rounds_once():
         _, mu_u = tilted_stationary(chain, u)
     assert 0.0 < mu_u[0] < 2.0**-1022
     assert_matches_exact_closed_form(mu_u, chain, u, u)
+
+
+def test_closed_form_below_the_float_range_names_the_tilt():
+    # mu_u[0] at u = (1e-300, 1e300) is about 2.5e-601, and rounds to 0.
+    chain = ReversibleChain.from_kernel([[0.9, 0.1], [0.2, 0.8]])
+    wide = np.array([1e-300, 1e300])
+    below = "^stationary component 0 of {} is below the float range$"
+    with pytest.raises(ZeroStationaryError, match=below.format("the tilt by u")):
+        tilted_stationary(chain, wide)
+    with pytest.raises(
+        ZeroStationaryError, match=below.format("the product of the tilts by u and v")
+    ):
+        two_tilt_product(chain, np.ones(2), wide)
+    # The scan's candidate reports the rounded closed form; it does not raise.
+    candidate = reversible._tilted_mu(chain.kernel.matrix, chain.stationary, wide)
+    assert candidate.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(

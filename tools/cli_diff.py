@@ -46,6 +46,7 @@ def write_inputs(directory: str) -> None:
     k8, k16 = _reversible(rng, 8), _reversible(rng, 16)
     w8 = rng.uniform(1.0, 2.0, size=8)
     tilted = k8 * w8[None, :] / (k8 @ w8)[:, None]
+    two_state, wide14 = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([1.0, 1e14])
     files = {
         "P.csv": "0.9,0.1\n0.2,0.8\n",
         "u.csv": "1.0\n2.0\n",
@@ -53,6 +54,10 @@ def write_inputs(directory: str) -> None:
         # Tilts whose closed-form stationary vector overflows unless u is scaled first.
         "wide.csv": "1.0,1e200\n",
         "mirrored.csv": "1e200,1.0\n",
+        # A spread past the float range: the tilt's closed-form mu_u[0] rounds to 0.
+        "extreme.csv": "1e-300,1e300\n",
+        # The (1, 1e14) tilt of P.csv: its entry (1, 0) is 2.5e-15 of the largest.
+        "tilt14.csv": _csv(two_state * wide14 / (two_state @ wide14)[:, None]),
         "k8.csv": _csv(k8),
         "k16.csv": _csv(k16),
         "k16.json": _structured(k16),
@@ -73,12 +78,13 @@ def write_inputs(directory: str) -> None:
     files["s8.csv"] = _csv(symmetric)
     symmetric[0, 1] += 1e-13
     files["near8.csv"] = _csv(symmetric)
-    # Two blocks joined by eps = 1e-14: the direct solve fails its gate here.
-    eps = 1e-14
-    files["eps14.csv"] = _csv(
-        [[1 - eps, eps, 0.0, 0.0], [0.5, 0.5 - eps, eps, 0.0],
-         [0.0, eps, 0.5 - eps, 0.5], [0.0, 0.0, eps, 1 - eps]]
-    )
+    # Two blocks joined by eps: at 1e-14 the direct solve fails its gate; at
+    # 1e-16 the join is below the irreducibility gate's relative cut.
+    for name, eps in (("eps14.csv", 1e-14), ("eps16.csv", 1e-16)):
+        files[name] = _csv(
+            [[1 - eps, eps, 0.0, 0.0], [0.5, 0.5 - eps, eps, 0.0],
+             [0.0, eps, 0.5 - eps, 0.5], [0.0, 0.0, eps, 1 - eps]]
+        )
     # A slowly mixing chain (lambda_2 near 0.99): converge's first products
     # need more power steps than its cap and reach the stationary solve.
     files["hold8.csv"] = _csv(0.99 * np.eye(8) + 0.01 * k8)
@@ -146,6 +152,9 @@ def invocations() -> list[list[str]]:
         )
     runs.append(["tilt", "--matrix", "k8.csv", "--vector", "w8.csv"])
     runs.append(["tilt-detect", "--matrix", "tilted8.csv", "--base", "k8.csv"])
+    runs.append(["tilt-detect", "--matrix", "tilt14.csv", "--base", "P.csv"])
+    runs.append(["bounds", "--matrix", "P.csv", "--vector", "extreme.csv"])
+    runs.append(["stationary", "--matrix", "eps16.csv"])
     runs.append(
         ["tilt-detect", "--matrix", "other8.csv", "--base", "k8.csv", "--format", "structured"]
     )
