@@ -120,9 +120,11 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     clamped to zero and the affected row is renormalized.  Entries below
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
     ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
-    A :class:`StochasticMatrix` is certified already and is returned as it is.
+    A :class:`StochasticMatrix` is certified already and is returned as it
+    is, at the tolerance it was certified at: a stricter ``tol`` does not
+    check it again, but ``tol`` must still be positive and finite.
     """
-    if isinstance(M, StochasticMatrix):
+    if isinstance(M, StochasticMatrix) and 0.0 < tol < math.inf:
         return M
     return StochasticMatrix(_certify(_as_2d(M, "matrix"), tol), tol)
 
@@ -204,18 +206,10 @@ def _state_vector(values, name: str, m: int) -> np.ndarray:
 
 
 def _state_vectors(values, name: str, m: int) -> np.ndarray:
-    """``values`` as an ``(n, m)`` stack of vectors checked as :func:`_state_vector` checks one.
+    """``values`` as an ``(n, m)`` stack, each vector checked by :func:`_state_vector`.
 
-    The stack is checked in one pass; only when that fails are the vectors
-    walked, to name the first bad ``name[k]`` or to stack ``(m, 1)`` columns.
+    An error names the first bad ``name[k]``; ``(m, 1)`` columns are flattened.
     """
-    values = list(values)
-    try:
-        stack = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        stack = np.empty(0)
-    if stack.shape == (len(values), m) and np.isfinite(stack).all() and stack.min() > 0.0:
-        return stack
     checked = [_state_vector(u, f"{name}[{k}]", m) for k, u in enumerate(values)]
     if not checked:
         raise DimensionError(f"{name} must contain at least one vector")

@@ -426,8 +426,13 @@ def _scan_stack(weights: np.ndarray, tilts: np.ndarray, lengths: np.ndarray, tol
 
     The steps of :func:`random_reversible`, :func:`tilted_product`,
     :func:`stationary_distribution` and :func:`reversibility_defect`, each on
-    the whole stack, with the same checks.  Cell c's tilts are its first
-    ``lengths[c]`` rows, the rest 1; ``lengths`` is sorted.
+    the whole stack.  The product and its stationary vectors are certified as
+    those functions certify them, but the tilts are not checked as
+    :func:`tilted_product` checks its ``us``: they are ``1 + ((1 + u_spread)
+    - 1)·r`` with ``r`` in [0, 1), from a spread that :func:`conjecture_scan`
+    has checked finite and non-negative, so they are finite and at least 1.
+    Cell c's tilts are its first ``lengths[c]`` rows, the rest 1; ``lengths``
+    is sorted.
     """
     k, m = weights.shape[:2]
     kernel, mu = _weighted_chain(weights)

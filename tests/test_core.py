@@ -97,6 +97,17 @@ def test_validate_requires_positive_tol():
             validate_stochastic([[1.0]], tol=tol)
 
 
+def test_validate_certified_matrix_passes_through_but_tol_is_checked():
+    loose = validate_stochastic([[0.5, 0.5 + 1e-7]], tol=1e-6)
+    # Taken as it is at the tolerance it was certified at, even under a
+    # stricter tol that its 1e-7 row-sum error would fail.
+    for tol in (1e-3, 1e-6, 1e-9):
+        assert validate_stochastic(loose, tol=tol) is loose
+    for tol in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            validate_stochastic(loose, tol=tol)
+
+
 # ---------------------------------------------------------------- tilt
 
 
@@ -589,6 +600,16 @@ def test_tilt_detect_pattern_mismatch():
         tilt_detect(
             np.array([[1.0, 0.0], [0.5, 0.5]]),
             np.array([[0.5, 0.5], [0.5, 0.5]]),
+        )
+
+
+def test_tilt_detect_dust_against_a_structural_zero_is_a_pattern_mismatch():
+    # Patterns are compared exactly: a positive entry far below the relative
+    # cut of zero_pattern still differs from an exact zero.
+    with pytest.raises(PatternMismatchError):
+        tilt_detect(
+            np.array([[0.25, 0.75], [1e-16, 1.0]]),
+            np.array([[0.5, 0.5], [0.0, 1.0]]),
         )
 
 
