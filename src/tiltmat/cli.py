@@ -70,11 +70,6 @@ def _structured(payload) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _chain_from_file(path: str, tol: float) -> ReversibleChain:
-    kernel = validate_stochastic(_read_matrix(path), tol)
-    return ReversibleChain.from_kernel(kernel, tol)
-
-
 def _cmd_tilt(args) -> str:
     result = tilt(_read_matrix(args.matrix), _read_vector(args.vector), args.tol)
     return format_matrix(result.matrix, args.format)
@@ -107,13 +102,12 @@ def _cmd_normalize_product(args) -> str:
 
 
 def _cmd_stationary(args) -> str:
-    kernel = validate_stochastic(_read_matrix(args.matrix), args.tol)
-    mu = stationary_distribution(kernel, args.tol)
+    mu = stationary_distribution(_read_matrix(args.matrix), args.tol)
     return format_vector(mu, args.format)
 
 
 def _cmd_check_reversible(args) -> str:
-    chain = _chain_from_file(args.matrix, args.tol)
+    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
     reversible = chain.defect <= args.tol
     if args.format == "structured":
         return _structured(
@@ -141,7 +135,7 @@ def _cmd_spectral(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    chain = _chain_from_file(args.matrix, args.tol)
+    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
     chain.require_reversible(args.tol)
     m = chain.n_states
     us = [_read_vector(path) for path in args.vector]
@@ -221,7 +215,7 @@ def _cmd_converge(args) -> str:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
     if not 0.0 <= args.spread < math.inf:
         raise _UsageError(f"--spread must be finite and >= 0, got {args.spread}")
-    chain = _chain_from_file(args.matrix, args.tol)
+    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
     m = chain.n_states
     if args.schedule == "ones":
         schedule = [np.ones(m)]

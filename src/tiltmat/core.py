@@ -164,14 +164,19 @@ def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
 def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Tilt a non-negative matrix by a strictly positive vector.
 
-    Returns ``D^{-1}(Au) A D(u)``, the row normalization of ``A D(u)``.  Every
-    row of ``A`` needs at least one strictly positive entry so that ``Au`` has
-    no zero component.  The result is certified stochastic within ``tol`` and
-    keeps the zero pattern of ``A`` exactly.
+    Returns ``D^{-1}(Au) A D(u)``, the row normalization of ``A D(u)``; every row
+    of ``A`` needs a strictly positive entry, so that ``Au`` has no zero component.
+    The result is certified stochastic within ``tol`` and keeps the zero pattern of
+    ``A`` exactly: a positive entry whose tilt rounds to 0 is a PatternMismatchError.
     """
     arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
-    return StochasticMatrix(_certify(_tilt(_nonnegative(arr, tol), uv), tol), tol)
+    out = _tilt(_nonnegative(arr, tol), uv)
+    lost = (arr > 0.0) & (out == 0.0)
+    if lost.any():
+        i, j = np.argwhere(lost)[0]
+        raise PatternMismatchError(f"entry ({i},{j}) of A is positive; its tilt by u rounds to 0")
+    return StochasticMatrix(_certify(out, tol), tol)
 
 
 def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -425,8 +430,9 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
         return TiltDetection(None, "support-disconnected")
 
     u = np.exp(col_off)
-    u /= u.max()
-    candidate = tilt(a2, u, max(tol, DEFAULT_TOL))
-    if float(np.abs(candidate.matrix - a1).max()) > tol:
+    u = _state_vector(u / u.max(), "u", n)
+    # tilt's checks without its pattern check: an entry lost to underflow is compared like any.
+    t = max(tol, DEFAULT_TOL)
+    if float(np.abs(_certify(_tilt(_nonnegative(a2, t), u), t) - a1).max()) > tol:
         return TiltDetection(None, "not-rank-1")
     return TiltDetection(u, "ok")

@@ -74,4 +74,4 @@ class ConvergenceError(TiltmatError):
 
 
 class FormatError(TiltmatError):
-    """A matrix or vector file is malformed (ragged rows, bad numbers, wrong fields)."""
+    """Malformed input: ragged rows, a value that will not become a float, wrong fields."""

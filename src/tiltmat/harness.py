@@ -158,7 +158,7 @@ def converge_demo(
         for first in range(0, n, block)
         for factor in _tilt(chain.kernel.matrix, tilts[first : first + block])
     )
-    mu = np.asarray(chain.stationary, dtype=np.float64)
+    mu = chain.stationary
     # One buffer serves every block, and the distances are taken in it in
     # place: allocating a (b, m, m) temporary per block cost more than copying
     # the products in (0.6 against 0.1 ms a product at m = 256).

@@ -21,6 +21,7 @@ import json
 import numpy as np
 
 from .errors import FormatError
+from .validation import _as_array
 
 
 def float_repr(x: float) -> str:
@@ -122,7 +123,7 @@ def parse_vector(text: str) -> np.ndarray:
 
 def format_matrix(matrix, fmt: str = "csv") -> str:
     """Serialize a matrix to csv or structured text (with a trailing newline)."""
-    arr = np.asarray(matrix, dtype=float)
+    arr = _as_array(matrix, "matrix")
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
     if fmt == "csv":
@@ -140,7 +141,7 @@ def _matrix_object(arr: np.ndarray) -> dict:
 
 def format_vector(vector, fmt: str = "csv") -> str:
     """Serialize a vector to a single csv line or a flat structured array."""
-    vec = np.asarray(vector, dtype=float)
+    vec = _as_array(vector, "vector")
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D array, got ndim={vec.ndim}")
     if fmt == "csv":

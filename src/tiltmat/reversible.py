@@ -313,14 +313,14 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
 
 
 def _weighted_chain(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified kernel and stationary vector of symmetric weights ``(..., m, m)``.
+    """Kernel and stationary vector of positive-diagonal symmetric weights ``(..., m, m)``.
 
-    The kernel is the weights with rows normalized, certified at the default
-    tolerance; detailed balance makes ``mu`` proportional to the row sums.
+    The kernel, the weights with rows normalized, is stochastic by construction:
+    non-negative, with rows that sum to 1 within m·eps, so nothing certifies it.
+    Detailed balance makes ``mu`` proportional to the row sums.
     """
     row_mass = weights.sum(axis=-1)
-    kernel = _certify(weights / row_mass[..., None], DEFAULT_TOL)
-    return kernel, row_mass / row_mass.sum(axis=-1, keepdims=True)
+    return weights / row_mass[..., None], row_mass / row_mass.sum(axis=-1, keepdims=True)
 
 
 def _reversible_weights(draws: np.ndarray, m: int) -> np.ndarray:

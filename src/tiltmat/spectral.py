@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
 from .reversible import _defect, _similar_symmetric, _stationary_residual
-from .validation import DEFAULT_TOL, as_positive_vector, as_square_matrix
+from .validation import DEFAULT_TOL, _as_array, as_positive_vector, as_square_matrix
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
@@ -65,8 +65,8 @@ class BoundReport:
     def evaluate(
         cls, observed_lambda2: float, bound_value: float, n_states: int = 1
     ) -> "BoundReport":
-        observed = float(observed_lambda2)
-        bound = float(bound_value)
+        observed = float(_as_array(observed_lambda2, "observed_lambda2"))
+        bound = float(_as_array(bound_value, "bound_value"))
         margin = max(1e-9 * max(abs(observed), abs(bound)), 4 * n_states * _EPS)
         return cls(observed, bound, observed <= bound + margin, bound - observed)
 
@@ -156,17 +156,16 @@ def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
     When ``mu`` is supplied and certifies detailed balance within ``tol``
     (stationarity residual and defect both below it), the spectrum is taken
     from the symmetric route on the symmetrized kernel, which is exact for
-    reversible inputs; otherwise the general route is used.  The
-    eigenvalue closest to 1 is excluded; if none lies within 1e-6 of 1 the
-    input is rejected as having drifted from stochasticity.
+    reversible inputs; otherwise, NaN in ``mu`` included, the general route
+    is used.  A ``mu`` that will not convert is a FormatError.  The eigenvalue
+    closest to 1 is excluded; if none lies within 1e-6 of 1 the input is
+    rejected as having drifted from stochasticity.
     """
     arr = as_square_matrix(P, "P")
     if mu is not None:
-        muv = np.asarray(mu, dtype=np.float64).reshape(-1)
+        muv = _as_array(mu, "mu").reshape(-1)
         if muv.shape[0] != arr.shape[0]:
-            raise LengthMismatchError(
-                f"mu has length {muv.shape[0]}, expected {arr.shape[0]}"
-            )
+            raise LengthMismatchError(f"mu has length {muv.shape[0]}, expected {arr.shape[0]}")
         if muv.min() > 0.0 and _stationary_residual(arr, muv) <= tol and _defect(arr, muv) <= tol:
             # The route decomposes the symmetric part of D^{1/2} P D^{-1/2};
             # that shifts eigenvalues by at most the asymmetry, which the
@@ -180,7 +179,7 @@ def bound_tilted(lambda2_P: float, u) -> float:
     """Bound on the tilted second eigenvalue: ``lambda2 * (max u / min u)**2``."""
     uv = as_positive_vector(u, "u")
     ratio = float(uv.max()) / float(uv.min())
-    return float(lambda2_P) * ratio * ratio
+    return float(_as_array(lambda2_P, "lambda2_P")) * ratio * ratio
 
 
 def bound_pair(lambda2_1: float, lambda2_2: float, mu1, mu2) -> float:
@@ -200,7 +199,7 @@ def bound_chain(lambda2s, mus) -> float:
     with ``n = 2`` this reduces to :func:`bound_pair`.  Once a ratio
     overflows, the bound is vacuous and reads inf, also where a rate is 0.
     """
-    rates = [float(v) for v in np.asarray(lambda2s, dtype=np.float64).reshape(-1)]
+    rates = _as_array(lambda2s, "lambda2s").reshape(-1).tolist()
     distributions = [as_positive_vector(mu, f"mus[{k}]") for k, mu in enumerate(mus)]
     if len(rates) != len(distributions) or not rates:
         raise LengthMismatchError(f"{len(rates)} rates vs {len(distributions)} distributions")
@@ -222,7 +221,7 @@ def bound_main(lambda2_P: float, us) -> float:
     if not vectors:
         raise ValueError("us must contain at least one vector")
     highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
-    return float(_main_bound_curve(lambda2_P, highs, lows)[-1])
+    return float(_main_bound_curve(_as_array(lambda2_P, "lambda2_P"), highs, lows)[-1])
 
 
 def _main_bound_curve(lambda2_P: float, highs: np.ndarray, lows: np.ndarray) -> np.ndarray:

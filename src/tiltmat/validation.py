@@ -1,10 +1,10 @@
 """Input validation helpers.
 
 Matrices and vectors travel through the package as plain float64 numpy
-arrays; these helpers certify shape, finiteness, and sign conventions at the
-API boundary and raise the domain errors from :mod:`tiltmat.errors`.  A
-:class:`StochasticMatrix` has passed that boundary already: the matrix
-helpers hand back its own array without checking it again.
+arrays; every outside array becomes one in :func:`_as_array`, and these
+helpers certify shape, finiteness, and sign conventions at the API boundary,
+raising the domain errors from :mod:`tiltmat.errors`.  A :class:`StochasticMatrix`
+has passed that boundary already: the matrix helpers hand back its own array.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    FormatError,
     NonFiniteError,
     NotSquareError,
     ZeroComponentError,
@@ -67,8 +68,16 @@ class StochasticMatrix:
         return self.matrix.astype(dtype)
 
 
+def _as_array(values, name: str) -> np.ndarray:
+    """``values`` as float64; a value that will not convert is a FormatError naming ``name``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{name} will not convert to float64: {exc}") from None
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """``values`` as a finite 2-D float64 array with positive dims; a StochasticMatrix as it is."""
+    """``values`` by :func:`_as_array`, finite, 2-D, positive dims; a StochasticMatrix as it is."""
     if isinstance(values, StochasticMatrix):
         return values.matrix
     arr = _as_2d(values, name)
@@ -79,7 +88,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 def _as_2d(values, name: str) -> np.ndarray:
     """:func:`as_matrix` without the finiteness check, for callers that make it themselves."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_array(values, name)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -95,8 +104,8 @@ def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Return ``values`` as a finite 1-D float64 array of length >= 1."""
-    arr = np.asarray(values, dtype=np.float64)
+    """``values`` as a finite 1-D float64 array of length >= 1, converted by :func:`_as_array`."""
+    arr = _as_array(values, name)
     if arr.ndim != 1:
         arr = arr.reshape(-1) if arr.size == max(arr.shape, default=0) else arr
     if arr.ndim != 1 or arr.size < 1:

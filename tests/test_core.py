@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tiltmat import core, validation
+import tiltmat
+from tiltmat import core, io, validation
 from tiltmat.core import (
     StochasticMatrix,
     is_aperiodic,
@@ -24,6 +25,7 @@ from tiltmat.reversible import random_reversible, reversibility_defect, stationa
 from tiltmat.spectral import second_eigenvalue_modulus
 from tiltmat.errors import (
     DimensionError,
+    FormatError,
     NegativeEntryError,
     NonFiniteError,
     NotIrreducibleError,
@@ -172,6 +174,23 @@ def test_tilt_preserves_zero_pattern_random():
         assert zero_pattern(tilt(A, u)) == zero_pattern(A)
 
 
+def test_tilt_raises_rather_than_change_the_zero_pattern():
+    # 0.9e-300 / (0.9e-300 + 0.1e300) is below the float range: the entry rounds to 0.
+    message = r"^entry \(0,0\) of A is positive; its tilt by u rounds to 0$"
+    with pytest.raises(PatternMismatchError, match=message):
+        tilt([[0.9, 0.1], [0.2, 0.8]], [1e-300, 1e300])
+    # Dust clamped to 0 is no positive entry, so the first one lost is (1, 0).
+    with pytest.raises(PatternMismatchError, match=r"^entry \(1,0\) of A"):
+        tilt([[-1e-12, 1.0], [0.5, 0.5]], [1e-300, 1e300])
+
+
+def test_tilt_checks_u_then_the_sign_of_a_then_the_pattern():
+    with pytest.raises(ZeroComponentError):
+        tilt([[-1.0, 1.0], [0.5, 0.5]], [0.0, 1e300])
+    with pytest.raises(NegativeEntryError):
+        tilt([[-1.0, 1.0], [0.5, 0.5]], [1e-300, 1e300])
+
+
 @st.composite
 def tilt_group_cases(draw):
     """A non-negative matrix with a positive entry in every row, and two tilt vectors."""
@@ -269,6 +288,85 @@ def test_as_vector_flattens_one_row_or_one_column(values):
 def test_as_vector_rejects_what_is_not_a_vector(values):
     with pytest.raises(DimensionError, match=r"^u must be a non-empty 1-D vector$"):
         validation.as_vector(values, "u")
+
+
+# Values that will not become float64: ragged nesting, a string, an int past
+# the float range and an object that is no number.
+UNCONVERTIBLE = {
+    "ragged": [[1.0, 2.0], [3.0]],
+    "string": "abc",
+    "too-large-int": 10**400,
+    "object": object(),
+}
+TWO = [[0.9, 0.1], [0.2, 0.8]]
+ONES = [1.0, 1.0]
+MU = [2.0 / 3.0, 1.0 / 3.0]
+
+
+def two_state_chain():
+    return tiltmat.ReversibleChain.from_kernel(TWO)
+
+
+# Every public function that takes a matrix, vector, schedule, mu or lambda_2
+# value, with the bad value in each such argument, and the name its error gives.
+BOUNDARY_CALLS = {
+    "validate_stochastic": (lambda bad: validate_stochastic(bad), "matrix"),
+    "tilt(A)": (lambda bad: tilt(bad, ONES), "matrix"),
+    "tilt(u)": (lambda bad: tilt(TWO, bad), "u"),
+    "tilted_product(P)": (lambda bad: tilted_product(bad, [ONES]), "matrix"),
+    "tilted_product(us)": (lambda bad: tilted_product(TWO, [ONES, bad]), "us[1]"),
+    "rank1_sandwich(y)": (lambda bad: rank1_sandwich(bad, TWO, ONES), "y"),
+    "rank1_sandwich(A)": (lambda bad: rank1_sandwich(ONES, bad, ONES), "matrix"),
+    "rank1_sandwich(x)": (lambda bad: rank1_sandwich(ONES, TWO, bad), "x"),
+    "zero_pattern": (lambda bad: zero_pattern(bad), "matrix"),
+    "is_irreducible": (lambda bad: is_irreducible(bad), "P"),
+    "is_aperiodic": (lambda bad: is_aperiodic(bad), "P"),
+    "normalize_product(A)": (lambda bad: normalize_product([(TWO, ONES), (bad, ONES)]), "A_2"),
+    "normalize_product(u)": (lambda bad: normalize_product([(TWO, bad)]), "u_1"),
+    "tilt_detect(P1)": (lambda bad: tilt_detect(bad, TWO), "matrix"),
+    "tilt_detect(P2)": (lambda bad: tilt_detect(TWO, bad), "matrix"),
+    "stationary_distribution": (lambda bad: stationary_distribution(bad), "matrix"),
+    "ReversibleChain.from_kernel": (lambda bad: tiltmat.ReversibleChain.from_kernel(bad), "matrix"),
+    "reversibility_defect(P)": (lambda bad: reversibility_defect(bad, MU), "P"),
+    "reversibility_defect(mu)": (lambda bad: reversibility_defect(TWO, bad), "mu"),
+    "tilted_stationary(u)": (lambda bad: tiltmat.tilted_stationary(two_state_chain(), bad), "u"),
+    "two_tilt_product(u)": (lambda bad: tiltmat.two_tilt_product(two_state_chain(), bad, ONES), "u"),
+    "two_tilt_product(v)": (lambda bad: tiltmat.two_tilt_product(two_state_chain(), ONES, bad), "v"),
+    "symmetric_eigenvalues": (lambda bad: tiltmat.symmetric_eigenvalues(bad), "S"),
+    "general_spectrum": (lambda bad: tiltmat.general_spectrum(bad), "M"),
+    "spectrum": (lambda bad: tiltmat.spectrum(bad), "M"),
+    "second_eigenvalue_modulus(P)": (lambda bad: second_eigenvalue_modulus(bad), "P"),
+    "second_eigenvalue_modulus(mu)": (lambda bad: second_eigenvalue_modulus(TWO, bad), "mu"),
+    "bound_tilted(lambda2_P)": (lambda bad: tiltmat.bound_tilted(bad, ONES), "lambda2_P"),
+    "bound_tilted(u)": (lambda bad: tiltmat.bound_tilted(0.5, bad), "u"),
+    "bound_pair(lambda2_1)": (lambda bad: tiltmat.bound_pair(bad, 0.5, MU, MU), "lambda2s"),
+    "bound_pair(lambda2_2)": (lambda bad: tiltmat.bound_pair(0.5, bad, MU, MU), "lambda2s"),
+    "bound_pair(mu1)": (lambda bad: tiltmat.bound_pair(0.5, 0.5, bad, MU), "mus[0]"),
+    "bound_pair(mu2)": (lambda bad: tiltmat.bound_pair(0.5, 0.5, MU, bad), "mus[1]"),
+    "bound_chain(lambda2s)": (lambda bad: tiltmat.bound_chain(bad, [MU]), "lambda2s"),
+    "bound_chain(mus)": (lambda bad: tiltmat.bound_chain([0.5], [bad]), "mus[0]"),
+    "bound_main(lambda2_P)": (lambda bad: tiltmat.bound_main(bad, [ONES]), "lambda2_P"),
+    "bound_main(us)": (lambda bad: tiltmat.bound_main(0.5, [bad]), "us[0]"),
+    "BoundReport.evaluate(observed)": (
+        lambda bad: tiltmat.BoundReport.evaluate(bad, 0.5), "observed_lambda2"
+    ),
+    "BoundReport.evaluate(bound)": (
+        lambda bad: tiltmat.BoundReport.evaluate(0.5, bad), "bound_value"
+    ),
+    "converge_demo(u_schedule)": (
+        lambda bad: tiltmat.converge_demo(two_state_chain(), [bad], n=3), "u_schedule[0]"
+    ),
+    "format_matrix": (lambda bad: io.format_matrix(bad), "matrix"),
+    "format_vector": (lambda bad: io.format_vector(bad), "vector"),
+}
+
+
+@pytest.mark.parametrize("value", sorted(UNCONVERTIBLE))
+@pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+def test_a_value_that_will_not_convert_is_a_format_error(call, value):
+    function, name = BOUNDARY_CALLS[call]
+    with pytest.raises(FormatError, match=f"^{re.escape(name)} will not convert to float64: "):
+        function(UNCONVERTIBLE[value])
 
 
 def test_stochastic_matrix_array_protocol():

@@ -13,6 +13,7 @@ from tiltmat import (
     NotReversibleError,
     PeriodicError,
     ReversibleChain,
+    TiltmatError,
     bound_main,
     conjecture_scan,
     converge_demo,
@@ -170,6 +171,7 @@ def test_tilted_product_and_converge_check_a_schedule_alike(case):
         tilted_product(chain.kernel, schedule)
     with pytest.raises(Exception) as converge_error:
         converge_demo(chain, schedule, n=6)
+    assert isinstance(product_error.value, TiltmatError)
     assert type(converge_error.value) is type(product_error.value)
     assert str(converge_error.value).replace("u_schedule", "us") == str(product_error.value)
 

@@ -622,6 +622,37 @@ def test_random_reversible_sparsity():
         assert chain.defect < 1e-14
 
 
+def assert_stochastic_by_construction(kernel):
+    # Each entry is one rounded quotient w_ij / s_i and each row sum s_i one
+    # rounded sum of m terms, so a row of the kernel sums to 1 within m * eps.
+    m = kernel.shape[-1]
+    assert np.isfinite(kernel).all() and kernel.min() >= 0.0
+    assert np.abs(kernel.sum(axis=-1) - 1.0).max() <= m * np.finfo(np.float64).eps
+
+
+@st.composite
+def scan_draws(draw):
+    """Uniforms in [0, 1) as the scan draws them for one m-state chain, often with exact zeros."""
+    m = draw(st.integers(1, 60))
+    elements = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+    return m, draw(hnp.arrays(np.float64, m * m + m, elements=elements))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(scan_draws())
+def test_weighted_chain_kernel_is_stochastic_by_construction(case):
+    m, draws = case
+    kernel, mu = reversible._weighted_chain(reversible._reversible_weights(draws, m))
+    assert_stochastic_by_construction(kernel)
+    assert mu.min() > 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5]))
+def test_random_reversible_kernel_is_stochastic_by_construction(m, seed, sparsity):
+    assert_stochastic_by_construction(random_reversible(m, seed, sparsity).kernel.matrix)
+
+
 def test_random_reversible_rejects_bad_args():
     with pytest.raises(ValueError):
         random_reversible(0, seed=1)

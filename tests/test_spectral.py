@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,6 +28,9 @@ from tiltmat import (
     symmetric_eigenvalues,
     symmetrize,
     tilt,
+    tilted_product,
+    tilted_stationary,
+    two_tilt_product,
 )
 from tiltmat.spectral import _drop_principal, _main_bound_curve
 
@@ -400,6 +403,81 @@ def test_bound_tilted_dominates_observed():
             U = tilt(chain.kernel.matrix, u)
             observed = second_eigenvalue_modulus(U.matrix)
             assert observed <= bound_tilted(rate, u) + 1e-9
+
+
+@st.composite
+def tilted_chains(draw, factors=(1, 1)):
+    """A reversible chain on 2-6 states with ``factors`` tilt vectors of spread at most 4."""
+    m = draw(st.integers(2, 6))
+    seed, sparsity = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.5]))
+    chain = random_reversible(m, seed, sparsity)
+    tilts = hnp.arrays(np.float64, m, elements=st.floats(1.0, 4.0))
+    return chain, [draw(tilts) for _ in range(draw(st.integers(*factors)))]
+
+
+def assert_bound_holds(observed, bound, m):
+    # Steer the search towards the tightest cases: a violation is sought, not hidden.
+    target(observed / bound if bound > 0.0 else 0.0)
+    assert BoundReport.evaluate(observed, bound, m).satisfied, (observed, bound)
+
+
+def lambda2(chain):
+    return second_eigenvalue_modulus(chain.kernel, chain.stationary)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tilted_chains())
+def test_bound_tilted_holds_at_its_edge(case):
+    chain, (u,) = case
+    observed = second_eigenvalue_modulus(*tilted_stationary(chain, u))
+    assert_bound_holds(observed, bound_tilted(lambda2(chain), u), chain.n_states)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tilted_chains(factors=(2, 2)))
+def test_bound_pair_holds_at_its_edge(case):
+    chain, (u, v) = case
+    (U, mu_u), (V, mu_v) = tilted_stationary(chain, u), tilted_stationary(chain, v)
+    observed = second_eigenvalue_modulus(*two_tilt_product(chain, u, v))
+    bound = bound_pair(
+        second_eigenvalue_modulus(U, mu_u), second_eigenvalue_modulus(V, mu_v), mu_u, mu_v
+    )
+    assert_bound_holds(observed, bound, chain.n_states)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tilted_chains(factors=(1, 4)))
+def test_bound_chain_holds_at_its_edge(case):
+    chain, us = case
+    tilts = [tilted_stationary(chain, u) for u in us]
+    observed = second_eigenvalue_modulus(tilted_product(chain.kernel, us))
+    rates = [second_eigenvalue_modulus(U, mu) for U, mu in tilts]
+    bound = bound_chain(rates, [mu for _, mu in tilts])
+    assert_bound_holds(observed, bound, chain.n_states)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tilted_chains(factors=(1, 4)))
+def test_bound_main_holds_at_its_edge(case):
+    chain, us = case
+    observed = second_eigenvalue_modulus(tilted_product(chain.kernel, us))
+    assert_bound_holds(observed, bound_main(lambda2(chain), us), chain.n_states)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.7, 1e-150, 1e150])
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_bound_tilted_at_a_constant_tilt_is_decided_by_the_margin(m, scale):
+    # A constant u leaves the kernel as it is, so the bound equals lambda_2 and
+    # the observed value is the same number up to rounding: it lies above the
+    # bound in 85 of these 240 cases, by at most 0.84 m eps.
+    for seed in range(20):
+        chain = random_reversible(m, seed=700 + seed)
+        u = np.full(m, scale)
+        observed = second_eigenvalue_modulus(*tilted_stationary(chain, u))
+        bound = bound_tilted(lambda2(chain), u)
+        assert bound == lambda2(chain)
+        assert abs(observed - bound) <= 4 * m * np.finfo(np.float64).eps
+        assert BoundReport.evaluate(observed, bound, m).satisfied
 
 
 def test_bound_report_semantics():

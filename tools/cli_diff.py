@@ -56,6 +56,8 @@ def write_inputs(directory: str) -> None:
         "mirrored.csv": "1e200,1.0\n",
         # A spread past the float range: the tilt's closed-form mu_u[0] rounds to 0.
         "extreme.csv": "1e-300,1e300\n",
+        # A square matrix whose row 0 sums to 1.5: a RowSumError wherever it is loaded.
+        "rowsum.csv": "0.9,0.6\n0.2,0.8\n",
         # The (1, 1e14) tilt of P.csv: its entry (1, 0) is 2.5e-15 of the largest.
         "tilt14.csv": _csv(two_state * wide14 / (two_state @ wide14)[:, None]),
         "k8.csv": _csv(k8),
@@ -155,6 +157,13 @@ def invocations() -> list[list[str]]:
     runs.append(["tilt-detect", "--matrix", "tilt14.csv", "--base", "P.csv"])
     runs.append(["bounds", "--matrix", "P.csv", "--vector", "extreme.csv"])
     runs.append(["stationary", "--matrix", "eps16.csv"])
+    # A tilt that would round entry (0, 0) to 0, and a matrix that is not
+    # stochastic through every command that loads a chain.
+    runs.append(["tilt", "--matrix", "P.csv", "--vector", "extreme.csv"])
+    runs.append(["check-reversible", "--matrix", "rowsum.csv"])
+    runs.append(["bounds", "--matrix", "rowsum.csv", "--vector", "u.csv"])
+    runs.append(["converge", "--matrix", "rowsum.csv"])
+    runs.append(["stationary", "--matrix", "rowsum.csv"])
     runs.append(
         ["tilt-detect", "--matrix", "other8.csv", "--base", "k8.csv", "--format", "structured"]
     )
