@@ -20,17 +20,15 @@ import numpy as np
 from .errors import (
     DimensionError,
     NegativeEntryError,
-    NonFiniteError,
     NotIrreducibleError,
     PatternMismatchError,
-    RowSumError,
     ZeroRowError,
 )
 from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
     StochasticMatrix,
-    _as_2d,
+    _certify,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
@@ -120,45 +118,13 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     clamped to zero and the affected row is renormalized.  Entries below
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
     ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
-    A :class:`StochasticMatrix` is certified already and is returned as it
-    is, at the tolerance it was certified at: a stricter ``tol`` does not
-    check it again, but ``tol`` must still be positive and finite.
+    A :class:`StochasticMatrix` certified itself when it was constructed and
+    is returned as it is, at the tolerance it was certified at: a stricter
+    ``tol`` does not check it again, but ``tol`` must still be positive and finite.
     """
     if isinstance(M, StochasticMatrix) and 0.0 < tol < math.inf:
         return M
-    return StochasticMatrix(_certify(_as_2d(M, "matrix"), tol), tol)
-
-
-def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
-    """The checks of :func:`validate_stochastic` on a matrix or a stack ``(..., r, c)``.
-
-    Returns ``arr``, or a copy with its dust clamped.  Messages locate the
-    entry or row within its matrix; a caller passing a stack names the slice.
-    Finiteness is checked first, in :func:`as_matrix`'s words, so that
-    :func:`validate_stochastic` can leave that check to this function.
-    """
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix contains NaN or infinite entries")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    low = float(arr.min())
-    if low < -tol:
-        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        i, j = idx[-2:]
-        raise NegativeEntryError(f"entry ({i},{j}) = {float(arr[idx])!r} is below -tol")
-    row_sums = arr.sum(axis=-1)
-    dev = np.abs(row_sums - 1.0)
-    if np.any(dev > tol):
-        idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise RowSumError(
-            f"row {idx[-1]} sums to {float(row_sums[idx])!r}, off by more than tol={tol}"
-        )
-    if low < 0.0:
-        arr = arr.copy()
-        dusty = (arr < 0.0).any(axis=-1)
-        arr[arr < 0.0] = 0.0
-        arr[dusty] /= arr[dusty].sum(axis=-1, keepdims=True)
-    return arr
+    return StochasticMatrix(M, tol)
 
 
 def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
@@ -171,12 +137,7 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """
     arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
-    out = _tilt(_nonnegative(arr, tol), uv)
-    lost = (arr > 0.0) & (out == 0.0)
-    if lost.any():
-        i, j = np.argwhere(lost)[0]
-        raise PatternMismatchError(f"entry ({i},{j}) of A is positive; its tilt by u rounds to 0")
-    return StochasticMatrix(_certify(out, tol), tol)
+    return StochasticMatrix(_kept_tilt(_nonnegative(arr, tol), uv, "A", "u"), tol)
 
 
 def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -191,6 +152,18 @@ def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Unchecked tilt of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``."""
     out = arr * uv[..., None, :]
     return np.divide(out, _row_weights(arr, uv)[..., :, None], out=out)
+
+
+def _kept_tilt(arr: np.ndarray, uv: np.ndarray, a_name: str, u_name: str) -> np.ndarray:
+    """:func:`_tilt` of one matrix; a positive entry whose tilt rounds to 0 raises."""
+    out = _tilt(arr, uv)
+    lost = (arr > 0.0) & (out == 0.0)
+    if lost.any():
+        i, j = np.argwhere(lost)[0]
+        raise PatternMismatchError(
+            f"entry ({i},{j}) of {a_name} is positive; its tilt by {u_name} rounds to 0"
+        )
+    return out
 
 
 def _row_weights(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -247,13 +220,13 @@ def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     Inputs are checked once: ``P`` by :func:`validate_stochastic` and as
     square, ``us`` by the one schedule check that ``converge_demo`` makes too
     (non-empty, each ``u`` strictly positive with one component per state).
-    The factors are then multiplied unchecked; only the product is certified.
+    Each factor keeps the zero pattern of ``P``, as in :func:`tilt`; the product is certified.
     """
     arr = as_square_matrix(validate_stochastic(P, tol), "P")
     uvs = _state_vectors(us, "us", arr.shape[0])
-    for prod in _tilted_prefixes(_tilt(arr, uv) for uv in uvs):
+    for prod in _tilted_prefixes(_kept_tilt(arr, uv, "P", f"us[{k}]") for k, uv in enumerate(uvs)):
         pass
-    return StochasticMatrix(_certify(prod, tol), tol)
+    return StochasticMatrix(prod, tol)
 
 
 def rank1_sandwich(y, A, x) -> np.ndarray:
@@ -346,14 +319,14 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
 def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
     """Write a product ``A_1 D(u_1) ... A_n D(u_n)`` as ``D(u) P`` with P stochastic.
 
-    Every factor is checked once, as :func:`tilt` checks its inputs.  The
-    kernel is the running product of the factors ``A_k D(u_k)`` with rows
-    renormalized after each one; the row sums that renormalization removes
-    are ``P_{k-1} @ (A_k u_k)``, so the scale vector, ``A_1 u_1`` at the
-    first factor, is multiplied by them.  The scale vector is renormalized
-    to unit max-norm every step with the magnitude accumulated in
-    ``log_scale``, so products with hundreds of factors stay representable.
-    Only the final kernel is certified.
+    Every factor is checked once, as :func:`tilt` checks its inputs and its
+    zero pattern, naming ``A_k`` and ``u_k``.  The kernel is the running
+    product of the factors ``A_k D(u_k)`` with rows renormalized after each
+    one; the row sums that renormalization removes are ``P_{k-1} @ (A_k u_k)``,
+    so the scale vector, ``A_1 u_1`` at the first factor, is multiplied by
+    them.  The scale vector is renormalized to unit max-norm every step with
+    the magnitude accumulated in ``log_scale``, so products with hundreds of
+    factors stay representable.  Only the final kernel is certified.
     """
     pairs = list(factors)
     if not pairs:
@@ -368,6 +341,7 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
             )
         uv = _state_vector(u_k, f"u_{k + 1}", m)
         arr = _nonnegative(arr, tol)
+        _kept_tilt(arr, uv, f"A_{k + 1}", f"u_{k + 1}")
         checked.append((arr * uv, _row_weights(arr, uv)))
 
     log_scale = 0.0
@@ -378,7 +352,7 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
         s = float(scale.max())
         scale = scale / s
         log_scale += math.log(s)
-    return TiltFactorization(scale, log_scale, StochasticMatrix(_certify(kernel, tol), tol))
+    return TiltFactorization(scale, log_scale, StochasticMatrix(kernel, tol))
 
 
 def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _certify, _state_vectors, _tilt, _tilted_prefixes
+from .core import _state_vectors, _tilt, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
 from .reversible import (
     ReversibleChain, _defect, _reversible_weights, _stationary, _tilted_mu, _weighted_chain
 )
 from .spectral import _main_bound_curve, second_eigenvalue_modulus
-from .validation import DEFAULT_TOL, readonly
+from .validation import DEFAULT_TOL, _certify, readonly
 
 # Below this floor the recorded distances are rounding noise, not signal.
 _ERROR_FLOOR = 1e-13

@@ -11,12 +11,11 @@ makes their spectra real), and generates random reversible test chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    _certify,
     _state_vector,
     _strongly_connected,
     _tilt,
@@ -27,25 +26,35 @@ from .errors import (
     DimensionError,
     NotIrreducibleError,
     NotReversibleError,
+    RowSumError,
     ZeroStationaryError,
 )
-from .validation import DEFAULT_TOL, StochasticMatrix, as_square_matrix, as_vector, readonly
+from .validation import DEFAULT_TOL, _EPS, StochasticMatrix, as_square_matrix, as_vector, readonly
 
 
 @dataclass(frozen=True)
 class ReversibleChain:
     """A square stochastic kernel with its stationary distribution and defect.
 
-    ``defect`` is the detailed-balance certificate
-    ``max_{i,j} |mu[i] P[i,j] - mu[j] P[j,i]|``; zero means exactly reversible.
+    The constructor certifies a raw ``kernel`` as :func:`validate_stochastic` does,
+    and ``stationary`` as finite, positive, one per state, summing to 1 within
+    ``max(kernel.tol, m·eps)``; it computes ``defect``, ``max_{i,j} |mu[i] P[i,j] - mu[j] P[j,i]|``.
     """
 
     kernel: StochasticMatrix
     stationary: np.ndarray
-    defect: float
+    defect: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stationary", readonly(self.stationary))
+        kernel = validate_stochastic(self.kernel)
+        arr = as_square_matrix(kernel, "kernel")
+        mu = _state_vector(self.stationary, "stationary", arr.shape[0])
+        total, bound = float(mu.sum()), max(kernel.tol, arr.shape[0] * _EPS)
+        if not abs(total - 1.0) <= bound:
+            raise RowSumError(f"stationary sums to {total!r}, off by more than {bound!r}")
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "stationary", readonly(mu))
+        object.__setattr__(self, "defect", float(_defect(arr, mu)))
 
     @property
     def n_states(self) -> int:
@@ -53,15 +62,13 @@ class ReversibleChain:
 
     @classmethod
     def from_kernel(cls, P, tol: float = DEFAULT_TOL) -> "ReversibleChain":
-        """Bundle a kernel with its computed stationary vector and defect.
+        """Bundle a kernel, certified at ``tol``, with its computed stationary vector.
 
-        Does not require the kernel to be reversible; the defect field simply
-        records how far from detailed balance it is.
+        Does not require the kernel to be reversible; the constructor's defect
+        simply records how far from detailed balance it is.
         """
         sm = validate_stochastic(P, tol)
-        arr = as_square_matrix(sm, "P")
-        mu = _stationary(arr, tol)
-        return cls(sm, mu, float(_defect(arr, mu)))
+        return cls(sm, _stationary(as_square_matrix(sm, "P"), tol))
 
     def require_reversible(self, tol: float) -> None:
         if not self.defect <= tol:
@@ -174,13 +181,13 @@ def tilted_stationary(
     it with power-of-two scaling that no spread of ``u`` overflows; a
     component below the float range, which rounds to 0, raises
     :class:`ZeroStationaryError`.  No eigenproblem is solved.  ``u`` is
-    checked once; the tilt of the certified kernel gets the certificate
-    :func:`tilt` would give it.
+    checked once; the tilt is certified by the :class:`StochasticMatrix`
+    constructor, as in :func:`tilt`, and ``chain`` certified itself.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
-    tilted = StochasticMatrix(_certify(_tilt(P, uv), tol), tol)
+    tilted = StochasticMatrix(_tilt(P, uv), tol)
     return tilted, readonly(_in_range(_tilted_mu(P, chain.stationary, uv), "the tilt by u"))
 
 
@@ -194,8 +201,8 @@ def two_tilt_product(
     :func:`_tilted_mu` evaluates with power-of-two scaling that no spread of
     ``u`` and ``v`` overflows; a component below the float range, which
     rounds to 0, raises :class:`ZeroStationaryError`.  ``u`` and ``v`` are
-    checked once, and only ``W`` is certified, as :func:`validate_stochastic`
-    certifies it: a tilt of a certified kernel has no dust to clamp.
+    checked once, and only ``W`` is certified, by its constructor: a tilt of
+    the kernel ``chain`` certified has no dust to clamp.
 
     For reversible ``(P, mu)``, ``W`` is reversible with respect to
     ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
@@ -211,7 +218,7 @@ def two_tilt_product(
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     vv = _state_vector(v, "v", P.shape[0])
-    product = StochasticMatrix(_certify(_tilt(P, uv) @ _tilt(P, vv), tol), tol)
+    product = StochasticMatrix(_tilt(P, uv) @ _tilt(P, vv), tol)
     mu_w = _in_range(_tilted_mu(P, chain.stationary, uv, vv), "the product of the tilts by u and v")
 
     defect = float(_defect(product.matrix, mu_w))
@@ -266,14 +273,10 @@ def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Similar symmetric form ``D^{1/2}(mu) P D^{-1/2}(mu)`` of a reversible kernel.
 
     The entries are ``sqrt(mu[i]/mu[j]) P[i,j]``; detailed balance makes this
-    symmetric, so the kernel's eigenvalues are real.
+    symmetric, so the kernel's eigenvalues are real; the chain certified ``mu > 0``.
     """
     chain.require_reversible(tol)
-    mu = chain.stationary
-    if mu.min() <= 0.0:
-        worst = int(np.argmin(mu))
-        raise ZeroStationaryError(f"stationary component {worst} is {float(mu[worst])!r}")
-    return _similar_symmetric(chain.kernel.matrix, mu)
+    return _similar_symmetric(chain.kernel.matrix, chain.stationary)
 
 
 def _similar_symmetric(arr: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -308,16 +311,16 @@ def random_reversible(m: int, seed: int, sparsity: float = 0.0) -> ReversibleCha
         cut = (values < np.quantile(values, sparsity)) & ~(tree | tree.T)[upper_i, upper_j]
         weights[upper_i[cut], upper_j[cut]] = 0.0
         weights[upper_j[cut], upper_i[cut]] = 0.0
-    kernel, mu = _weighted_chain(weights)
-    return ReversibleChain(StochasticMatrix(kernel), mu, float(_defect(kernel, mu)))
+    return ReversibleChain(*_weighted_chain(weights))
 
 
 def _weighted_chain(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and stationary vector of positive-diagonal symmetric weights ``(..., m, m)``.
 
     The kernel, the weights with rows normalized, is stochastic by construction:
-    non-negative, with rows that sum to 1 within m·eps, so nothing certifies it.
-    Detailed balance makes ``mu`` proportional to the row sums.
+    non-negative, with rows that sum to 1 within m·eps; :func:`random_reversible`'s
+    chain certifies it once, and the scan's stacks not at all.  Detailed balance
+    makes ``mu`` proportional to the row sums.
     """
     row_mass = weights.sum(axis=-1)
     return weights / row_mass[..., None], row_mass / row_mass.sum(axis=-1, keepdims=True)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
+from .errors import ConvergenceError, DimensionError, LengthMismatchError, NotSymmetricError
 from .reversible import _defect, _similar_symmetric, _stationary_residual
-from .validation import DEFAULT_TOL, _as_array, as_positive_vector, as_square_matrix
+from .validation import DEFAULT_TOL, _EPS, _as_array, as_positive_vector, as_square_matrix
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def bound_main(lambda2_P: float, us) -> float:
     """Bound for an ``n``-fold tilted product: ``lambda2**n * prod (max u / min u)**4``."""
     vectors = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
     if not vectors:
-        raise ValueError("us must contain at least one vector")
+        raise DimensionError("us must contain at least one vector")
     highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
     return float(_main_bound_curve(_as_array(lambda2_P, "lambda2_P"), highs, lows)[-1])
 

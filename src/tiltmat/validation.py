@@ -4,11 +4,12 @@ Matrices and vectors travel through the package as plain float64 numpy
 arrays; every outside array becomes one in :func:`_as_array`, and these
 helpers certify shape, finiteness, and sign conventions at the API boundary,
 raising the domain errors from :mod:`tiltmat.errors`.  A :class:`StochasticMatrix`
-has passed that boundary already: the matrix helpers hand back its own array.
+certifies itself when it is constructed, so the matrix helpers hand back its own array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,16 @@ import numpy as np
 from .errors import (
     DimensionError,
     FormatError,
+    NegativeEntryError,
     NonFiniteError,
     NotSquareError,
+    RowSumError,
     ZeroComponentError,
 )
 
 # Default certification tolerance shared across the package and the CLI.
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 # Support cut relative to the largest entry, used by the irreducibility gate
 # and as zero_pattern's default.  Dust from products is not its reason: a
@@ -40,15 +44,16 @@ PATTERN_REL_THRESHOLD = 1e-14
 class StochasticMatrix:
     """A rectangular matrix certified row-stochastic within ``tol``.
 
-    Construct via :func:`tiltmat.validate_stochastic`; entries are
-    non-negative and each row sums to 1 within the certification tolerance.
+    The constructor certifies ``matrix`` as :func:`tiltmat.validate_stochastic`
+    describes: entries are non-negative and each row sums to 1 within ``tol``.
     """
 
     matrix: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(self.matrix))
+        matrix = _certify(_as_2d(self.matrix, "matrix"), self.tol)
+        object.__setattr__(self, "matrix", readonly(matrix))
 
     @property
     def rows(self) -> int:
@@ -96,6 +101,38 @@ def _as_2d(values, name: str) -> np.ndarray:
     return arr
 
 
+def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
+    """The checks of :func:`validate_stochastic` on a matrix or a stack ``(..., r, c)``.
+
+    Returns ``arr``, or a copy with its dust clamped.  Messages locate the
+    entry or row within its matrix; a caller passing a stack names the slice.
+    Finiteness is checked first, in :func:`as_matrix`'s words, so that
+    :class:`StochasticMatrix` can leave that check to this function.
+    """
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("matrix contains NaN or infinite entries")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    low = float(arr.min())
+    if low < -tol:
+        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
+        i, j = idx[-2:]
+        raise NegativeEntryError(f"entry ({i},{j}) = {float(arr[idx])!r} is below -tol")
+    row_sums = arr.sum(axis=-1)
+    dev = np.abs(row_sums - 1.0)
+    if np.any(dev > tol):
+        idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise RowSumError(
+            f"row {idx[-1]} sums to {float(row_sums[idx])!r}, off by more than tol={tol}"
+        )
+    if low < 0.0:
+        arr = arr.copy()
+        dusty = (arr < 0.0).any(axis=-1)
+        arr[arr < 0.0] = 0.0
+        arr[dusty] /= arr[dusty].sum(axis=-1, keepdims=True)
+    return arr
+
+
 def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
     arr = as_matrix(values, name)
     if arr.shape[0] != arr.shape[1]:
@@ -132,8 +169,8 @@ def pattern_threshold(arr: np.ndarray) -> float:
     return PATTERN_REL_THRESHOLD * peak
 
 
-def readonly(arr: np.ndarray) -> np.ndarray:
-    """Copy and freeze an array so value types can be shared across threads."""
-    out = np.array(arr, dtype=np.float64, copy=True)
+def readonly(arr) -> np.ndarray:
+    """A frozen float64 copy, converted by :func:`_as_array`, that value types can share."""
+    out = _as_array(arr, "array").copy()
     out.setflags(write=False)
     return out

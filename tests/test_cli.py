@@ -519,6 +519,14 @@ def test_tilt_that_would_change_the_zero_pattern_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"PatternMismatchError: {expected}\n")
 
 
+def test_normalize_product_that_would_change_the_zero_pattern_exits_1(tmp_path, capsys):
+    mat = write(tmp_path / "p.csv", TWO_STATE)
+    vec = write(tmp_path / "u.csv", "1e-300,1e300\n")
+    code, out, err = run(capsys, ["normalize-product", "--matrix", mat, "--vector", vec])
+    expected = "entry (0,0) of A_1 is positive; its tilt by u_1 rounds to 0"
+    assert (code, out, err) == (1, "", f"PatternMismatchError: {expected}\n")
+
+
 def test_tilt_detect_recovers_a_tilt_below_the_relative_cut(tmp_path, capsys):
     # Every entry of the (1, 1e14) tilt is positive, the smallest 2.5e-15 of the largest.
     mat = write(tmp_path / "p.csv", TWO_STATE)

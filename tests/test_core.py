@@ -191,6 +191,42 @@ def test_tilt_checks_u_then_the_sign_of_a_then_the_pattern():
         tilt([[-1.0, 1.0], [0.5, 0.5]], [1e-300, 1e300])
 
 
+def test_tilted_product_and_normalize_product_keep_each_factors_zero_pattern():
+    # Unchecked, both would return the reducible [[0, 1], [0, 1]].
+    P = [[0.9, 0.1], [0.2, 0.8]]
+    extreme = [1e-300, 1e300]
+    with pytest.raises(
+        PatternMismatchError, match=r"^entry \(0,0\) of P is positive; its tilt by us\[0\] rounds to 0$"
+    ):
+        tilted_product(P, [extreme])
+    with pytest.raises(PatternMismatchError, match=r"^entry \(0,0\) of P .* by us\[1\] "):
+        tilted_product(P, [[1.0, 1.0], extreme])
+    with pytest.raises(
+        PatternMismatchError, match=r"^entry \(0,0\) of A_1 is positive; its tilt by u_1 rounds to 0$"
+    ):
+        normalize_product([(P, extreme)])
+    with pytest.raises(PatternMismatchError, match=r"^entry \(0,0\) of A_2 .* by u_2 "):
+        normalize_product([(P, [1.0, 1.0]), (P, extreme)])
+
+
+def test_a_forged_stochastic_matrix_is_refused_where_it_is_made():
+    # validate_stochastic passes a StochasticMatrix through, so its constructor certifies.
+    with pytest.raises(NegativeEntryError):
+        validate_stochastic(StochasticMatrix([[2, -1], [0.5, 0.5]]))
+    with pytest.raises(RowSumError):
+        StochasticMatrix([[0.5, 0.6]])
+    with pytest.raises(NonFiniteError):
+        StochasticMatrix([[np.nan, 1.0]])
+    with pytest.raises(DimensionError):
+        StochasticMatrix([0.5, 0.5])
+    with pytest.raises(FormatError, match="^matrix will not convert to float64"):
+        StochasticMatrix([[1, 10**400]])
+    with pytest.raises(ValueError, match="^tol must be positive"):
+        StochasticMatrix([[1.0]], 0.0)
+    # Dust is clamped and its row renormalized, as validate_stochastic does.
+    assert np.array_equal(StochasticMatrix([[-1e-12, 1.0]]).matrix, [[0.0, 1.0]])
+
+
 @st.composite
 def tilt_group_cases(draw):
     """A non-negative matrix with a positive entry in every row, and two tilt vectors."""

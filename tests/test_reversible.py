@@ -9,11 +9,15 @@ from hypothesis.extra import numpy as hnp
 from tiltmat import (
     ConvergenceError,
     DimensionError,
+    FormatError,
+    NegativeEntryError,
     NonFiniteError,
     NotIrreducibleError,
     NotReversibleError,
     ReversibleChain,
     RowSumError,
+    StochasticMatrix,
+    TiltmatError,
     rank1_sandwich,
     is_aperiodic,
     is_irreducible,
@@ -186,12 +190,81 @@ def test_from_kernel_records_defect():
 
 
 def test_require_reversible_rejects_nan_defect():
+    # The constructor computes the defect: a NaN one can be neither given nor made.
     kernel = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
-    chain = ReversibleChain(kernel, np.array([0.5, 0.5]), np.nan)
+    with pytest.raises(TypeError):
+        ReversibleChain(kernel, np.array([0.5, 0.5]), np.nan)
+    with pytest.raises(NonFiniteError):
+        ReversibleChain(kernel, np.array([0.5, np.nan]))
+    assert ReversibleChain(kernel, np.array([0.5, 0.5])).defect == 0.0
+
+
+def test_a_forged_reversible_chain_is_refused():
+    c = random_reversible(3, seed=1)
+    # Trusting a hand-given defect of 0 here would make tilted_stationary return
+    # mu = (0.773, 0.078, 0.149), where the tilt's true mu is (0.146, 0.354, 0.500).
+    forged = ReversibleChain(c.kernel, [0.9, 0.05, 0.05])
+    assert forged.defect > 0.4
     with pytest.raises(NotReversibleError):
-        chain.require_reversible(1e-9)
-    with pytest.raises(NotReversibleError):
-        tilted_stationary(chain, [1.0, 2.0])
+        tilted_stationary(forged, [1, 2, 3])
+    assert np.allclose(tilted_stationary(c, [1, 2, 3])[1], [0.146, 0.354, 0.500], atol=1e-3)
+    with pytest.raises(FormatError, match="^stationary will not convert to float64"):
+        ReversibleChain(c.kernel, ["a"])
+    with pytest.raises(DimensionError, match="^stationary has length 2, expected 3$"):
+        ReversibleChain(c.kernel, [0.5, 0.5])
+    with pytest.raises(ZeroComponentError):
+        ReversibleChain(validate_stochastic([[0.5, 0.5], [0.5, 0.5]]), [1, 0])
+    with pytest.raises(RowSumError, match="^stationary sums to "):
+        ReversibleChain(c.kernel, c.stationary * 1e-12)
+    # A raw kernel is certified as validate_stochastic certifies it.
+    with pytest.raises(NegativeEntryError):
+        ReversibleChain([[2, -1], [0.5, 0.5]], [0.5, 0.5])
+    assert ReversibleChain(c.kernel.matrix, c.stationary).defect == c.defect
+
+
+@st.composite
+def forged_chain_cases(draw):
+    """A matrix and a vector near a chain and its distribution, with a tol: some certify."""
+    m = draw(st.integers(1, 5))
+    weights = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+    weights[np.arange(m), np.arange(m)] += 0.5
+    noise = st.sampled_from([0.0, 0.0, 1e-17, -1e-17, 1e-13, -1e-13, 1e-10, -1e-6])
+    matrix = weights / weights.sum(axis=1)[:, None]
+    matrix = matrix + draw(hnp.arrays(np.float64, (m, m), elements=noise))
+    mu = draw(hnp.arrays(np.float64, m, elements=st.floats(0.0, 1.0))) + 1e-3
+    if draw(st.booleans()):
+        mu = weights.sum(axis=1)
+    mu = mu / mu.sum() + draw(hnp.arrays(np.float64, m, elements=noise))
+    tol = draw(st.sampled_from([1e-300, 1e-16, 1e-12, 1e-9, 1e-3]))
+    return matrix, mu, tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(forged_chain_cases())
+def test_every_construction_that_succeeds_holds_what_it_certifies(case):
+    matrix, mu, tol = case
+    m = matrix.shape[0]
+    try:
+        kernel = StochasticMatrix(matrix, tol)
+    except TiltmatError:
+        kernel = None
+    if kernel is not None:
+        assert kernel.tol == tol and not kernel.matrix.flags.writeable
+        assert kernel.matrix.min() >= 0.0
+        # A row with dust is renormalized after the clamp, which rounds: to m·eps.
+        off = np.abs(kernel.matrix.sum(axis=1) - 1.0)
+        clamped = (matrix < 0.0).any(axis=1)
+        assert off[~clamped].max(initial=0.0) <= tol
+        assert off[clamped].max(initial=0.0) <= max(tol, m * np.finfo(float).eps)
+    for given_kernel in [matrix] if kernel is None else [kernel, matrix]:
+        try:
+            chain = ReversibleChain(given_kernel, mu)
+        except TiltmatError:
+            continue
+        assert chain.kernel is given_kernel or chain.kernel.tol == 1e-9
+        assert np.isfinite(chain.stationary).all() and chain.stationary.min() > 0.0
+        assert abs(chain.stationary.sum() - 1.0) <= max(chain.kernel.tol, m * np.finfo(float).eps)
+        assert chain.defect == reversibility_defect(chain.kernel, chain.stationary)
 
 
 def test_tilted_stationary_frozen():
@@ -340,7 +413,7 @@ def slow_climb_chain():
     P[np.arange(13), np.arange(13)] = 1.0 - P.sum(axis=1)
     mu = np.cumprod(np.r_[1.0, P[i, i + 1] / P[i + 1, i]])
     mu /= mu.sum()
-    return ReversibleChain(validate_stochastic(P), mu, reversibility_defect(P, mu))
+    return ReversibleChain(validate_stochastic(P), mu)
 
 
 @pytest.mark.parametrize("u", [[1.0, 1.0, 1e200], [1.0, 1e160, 1.0]])
@@ -474,7 +547,7 @@ def reversible_tilt_cases(draw, sizes=(1, 7), spread=(0.01, 100.0)):
     mass = weights.sum(axis=1)
     kernel = validate_stochastic(weights / mass[:, None])
     mu = mass / mass.sum()
-    chain = ReversibleChain(kernel, mu, reversibility_defect(kernel, mu))
+    chain = ReversibleChain(kernel, mu)
     vectors = hnp.arrays(np.float64, m, elements=st.floats(*spread))
     return chain, draw(vectors), draw(vectors)
 
@@ -758,9 +831,10 @@ def test_stationary_and_defect_stacks_match_single_matrix(m):
 
 
 def test_zero_stationary_message_prints_plain_float():
-    chain = ReversibleChain(validate_stochastic(np.eye(2)), np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(ZeroStationaryError, match=r"^stationary component 1 is 0\.0$"):
-        symmetrize(chain)
+    with pytest.raises(
+        ZeroComponentError, match=r"^stationary must be strictly positive; component 1 is 0\.0$"
+    ):
+        ReversibleChain(validate_stochastic(np.eye(2)), np.array([1.0, 0.0]))
 
 
 def two_call_random_reversible(m, seed, sparsity):

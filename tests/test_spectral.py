@@ -10,6 +10,7 @@ from tiltmat import spectral
 from tiltmat import (
     BoundReport,
     ConvergenceError,
+    DimensionError,
     LengthMismatchError,
     METHOD_JACOBI,
     METHOD_QR,
@@ -389,7 +390,7 @@ def test_bound_input_errors():
         bound_chain([0.5, 0.5], [[1.0, 1.0]])
     with pytest.raises(LengthMismatchError):
         bound_chain([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match="^us must contain at least one vector$"):
         bound_main(0.5, [])
 
 

@@ -172,6 +172,11 @@ def invocations() -> list[list[str]]:
     ]
     runs.append(["normalize-product", *factors])
     runs.append(["normalize-product", *factors, "--format", "structured"])
+    # A factor whose tilt would round entry (0, 0) to 0, and a chain whose
+    # stationary sum is held to m·eps because both tolerances are below it.
+    runs.append(["normalize-product", "--matrix", "P.csv", "--vector", "extreme.csv"])
+    for tol in ("1e-16", "1e-300"):
+        runs.append(["check-reversible", "--matrix", "P.csv", "--tol", tol])
     return runs
 
 
