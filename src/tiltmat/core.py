@@ -28,12 +28,16 @@ from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
     StochasticMatrix,
-    _certify,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
     readonly,
 )
+
+# Size of the float64 tilt factors _factor_steps makes in one call and of one
+# conjecture scan pass, (cells, steps, m, m): a longer schedule is tilted a block
+# of steps at a time and a larger grid runs in passes, so memory stays flat.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(eq=False, frozen=True)
@@ -115,7 +119,8 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Certify a matrix as row-stochastic within ``tol``.
 
     Entries in ``[-tol, 0)`` are treated as floating-point dust: they are
-    clamped to zero and the affected row is renormalized.  Entries below
+    clamped to zero and the affected row is renormalized, which rounds, so
+    that row sums to 1 within ``max(tol, m·eps)``.  Entries below
     ``-tol`` raise :class:`NegativeEntryError`; a row sum off by more than
     ``tol`` raises :class:`RowSumError`.  ``tol`` must be positive and finite.
     A :class:`StochasticMatrix` certified itself when it was constructed and
@@ -137,7 +142,7 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """
     arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
-    return StochasticMatrix(_kept_tilt(_nonnegative(arr, tol), uv, "A", "u"), tol)
+    return StochasticMatrix(_tilt(_nonnegative(arr, tol), uv, "A", "u"), tol)
 
 
 def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -148,21 +153,23 @@ def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
     return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
 
 
-def _tilt(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Unchecked tilt of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``."""
+def _tilt(arr: np.ndarray, uv: np.ndarray, a_name="A", u_name="u", first=0) -> np.ndarray:
+    """The one tilt, of a non-negative matrix or stack ``(..., m, m)`` by ``uv`` ``(..., m)``.
+
+    It keeps the zero pattern of ``arr`` or raises PatternMismatchError naming the
+    first entry lost, ``a_name`` and ``u_name``, or ``u_name[first + k]`` for vector
+    k of a stack ``(..., s, m)``; past one reduction, only a tilt with a 0 or NaN is searched.
+    """
     out = arr * uv[..., None, :]
-    return np.divide(out, _row_weights(arr, uv)[..., :, None], out=out)
-
-
-def _kept_tilt(arr: np.ndarray, uv: np.ndarray, a_name: str, u_name: str) -> np.ndarray:
-    """:func:`_tilt` of one matrix; a positive entry whose tilt rounds to 0 raises."""
-    out = _tilt(arr, uv)
-    lost = (arr > 0.0) & (out == 0.0)
-    if lost.any():
-        i, j = np.argwhere(lost)[0]
-        raise PatternMismatchError(
-            f"entry ({i},{j}) of {a_name} is positive; its tilt by {u_name} rounds to 0"
-        )
+    np.divide(out, _row_weights(arr, uv)[..., :, None], out=out)
+    if not out.min() > 0.0:
+        lost = (arr > 0.0) & (out == 0.0)
+        if lost.any():
+            *stack, i, j = np.argwhere(lost)[0]
+            name = f"{u_name}[{first + stack[-1]}]" if uv.ndim > 1 else u_name
+            raise PatternMismatchError(
+                f"entry ({i},{j}) of {a_name} is positive; its tilt by {name} rounds to 0"
+            )
     return out
 
 
@@ -194,16 +201,31 @@ def _state_vectors(values, name: str, m: int) -> np.ndarray:
     return np.stack(checked)
 
 
+def _factor_steps(kernel: np.ndarray, tilts: np.ndarray, name: str):
+    """The one source of a schedule's factors: ``_tilt(kernel, tilts[..., j, :])`` for each step j.
+
+    ``kernel`` ``(m, m)`` goes with ``tilts`` ``(n, m)`` and a stack ``(k, m, m)`` with
+    ``(k, n, m)``; a lost entry names ``name[j]``.  Steps are tilted in one call per
+    block whose factors fit ``_STACK_BYTES``, so memory stays flat however long ``n`` is.
+    """
+    n_max, m = tilts.shape[-2:]
+    block = max(1, _STACK_BYTES // (8 * (tilts.size // n_max) * m))
+    for first in range(0, n_max, block):
+        steps = tilts[..., first : first + block, :]
+        yield from _tilt(kernel[..., None, :, :], steps, "P", name, first).swapaxes(0, -3)
+
+
 def _tilted_prefixes(factors):
-    """Yield the running products ``F_1``, ``F_1 @ F_2``, ... of given factors; nothing is checked.
+    """Yield the running products ``F_1``, ``F_1 @ F_2``, ... of given factors, unchecked.
 
     A factor is one matrix, or a stack ``(k_j, m, m)`` with k_j never
     increasing: a step then continues only the last k_j products, so cells
     sorted by product length drop out from the front of the stack as they
     finish.  Rows are renormalized after every factor, the first included,
     so stochasticity drift stays at rounding level over hundreds of factors.
-    The factors of a tilted product are ``_tilt(P, u_i)``; a lazy generator
-    of them keeps memory flat however long the product is.
+    The factors of a tilted product come from :func:`_factor_steps`, whose
+    tilts keep their zero pattern; a zero that appears only in a product is
+    not looked for.
     """
     prod = None
     for factor in factors:
@@ -220,11 +242,11 @@ def tilted_product(P, us, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     Inputs are checked once: ``P`` by :func:`validate_stochastic` and as
     square, ``us`` by the one schedule check that ``converge_demo`` makes too
     (non-empty, each ``u`` strictly positive with one component per state).
-    Each factor keeps the zero pattern of ``P``, as in :func:`tilt`; the product is certified.
+    Each factor, from :func:`_factor_steps`, keeps the zero pattern of ``P``
+    or raises, naming ``us[k]``, as :func:`tilt` does; the product is certified.
     """
     arr = as_square_matrix(validate_stochastic(P, tol), "P")
-    uvs = _state_vectors(us, "us", arr.shape[0])
-    for prod in _tilted_prefixes(_kept_tilt(arr, uv, "P", f"us[{k}]") for k, uv in enumerate(uvs)):
+    for prod in _tilted_prefixes(_factor_steps(arr, _state_vectors(us, "us", arr.shape[0]), "us")):
         pass
     return StochasticMatrix(prod, tol)
 
@@ -341,7 +363,7 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
             )
         uv = _state_vector(u_k, f"u_{k + 1}", m)
         arr = _nonnegative(arr, tol)
-        _kept_tilt(arr, uv, f"A_{k + 1}", f"u_{k + 1}")
+        _tilt(arr, uv, f"A_{k + 1}", f"u_{k + 1}")
         checked.append((arr * uv, _row_weights(arr, uv)))
 
     log_scale = 0.0
@@ -367,9 +389,10 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     ``log ratio = a_i + b_j``; the row offset of state 0 is pinned to 0 and
     the remaining offsets propagate along support edges breadth-first.  If
     the support graph leaves any offset unpinned the relation is undetermined
-    and the search reports "support-disconnected"; if the reconstructed tilt
-    does not match ``P1`` entrywise within ``tol`` it reports "not-rank-1".
-    The returned factor is normalized so its largest component is 1.
+    and the search reports "support-disconnected".  The candidate is rebuilt
+    as :func:`tilt` builds it, so it keeps the zero pattern of ``P2`` or
+    raises; if it does not match ``P1`` entrywise within ``tol`` the search
+    reports "not-rank-1".  The returned factor has largest component 1.
     """
     a1 = as_matrix(P1)
     a2 = as_matrix(P2)
@@ -405,8 +428,6 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
 
     u = np.exp(col_off)
     u = _state_vector(u / u.max(), "u", n)
-    # tilt's checks without its pattern check: an entry lost to underflow is compared like any.
-    t = max(tol, DEFAULT_TOL)
-    if float(np.abs(_certify(_tilt(_nonnegative(a2, t), u), t) - a1).max()) > tol:
+    if float(np.abs(_tilt(_nonnegative(a2, tol), u, "P2", "u") - a1).max()) > tol:
         return TiltDetection(None, "not-rank-1")
     return TiltDetection(u, "ok")

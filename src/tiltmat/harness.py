@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _state_vectors, _tilt, _tilted_prefixes
+from .core import _STACK_BYTES, _factor_steps, _state_vectors, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
 from .reversible import (
     ReversibleChain, _defect, _reversible_weights, _stationary, _tilted_mu, _weighted_chain
@@ -26,16 +26,10 @@ from .validation import DEFAULT_TOL, _certify, readonly
 # Below this floor the recorded distances are rounding noise, not signal.
 _ERROR_FLOOR = 1e-13
 
-# Size of the float64 tilt factors of one conjecture scan pass, k cells by
-# n_max steps by (m, m); larger grids run in several passes, and a single cell
-# larger than this is tilted a block of steps at a time, so memory stays flat
-# however many cells are scanned and however long their products are.
-_STACK_BYTES = 1 << 20
-
 # Matrix entries of one block of converge_demo's prefix products, (b, m, m),
-# tilted and power-iterated together.  An m = 8 chain runs a 200-step
-# schedule as one block; from m = 128 up a block is one product, warm-started
-# from the last.  Measured in-process (one BLAS thread, 2 vCPUs) against one
+# power-iterated together.  An m = 8 chain runs a 200-step schedule as one
+# block; from m = 128 up a block is one product, warm-started from the last.
+# Measured in-process (one BLAS thread, 2 vCPUs) against one
 # product at a time: 0.25-0.52x the time at m = 8, 0.57-0.89x at m = 64,
 # 1.0-1.13x at m = 128 (where the copy into the block costs as much as the
 # power steps it batches) and 0.95-1.07x at m = 256-1000.
@@ -130,12 +124,13 @@ def converge_demo(
     stochasticity drift stays at rounding level over hundreds of steps.  The
     schedule is checked once, by the check ``tilted_product`` makes of ``us``
     and with its errors, and the bound curve is computed in one pass as a
-    running product over it.  The prefix products are taken in blocks of at
-    most ``_CONVERGE_ENTRIES`` matrix entries, each block's factors tilted in
-    one call and its ``mu_k`` found together by :func:`_principal_vectors`,
-    warm-started at the previous block's last.  Raises :class:`PeriodicError`
-    when the kernel's second eigenvalue modulus is 1 within 1e-9, since no
-    convergence rate exists then.
+    running product over it.  Its factors, from ``_factor_steps`` as
+    ``tilted_product``'s, keep the kernel's zero pattern or raise, naming
+    ``u_schedule[k]``.  The prefix products are taken in blocks of at most
+    ``_CONVERGE_ENTRIES`` matrix entries, each block's ``mu_k`` found
+    together by :func:`_principal_vectors`, warm-started at the previous
+    block's last.  Raises :class:`PeriodicError` when the kernel's second
+    eigenvalue modulus is 1 within 1e-9, since no convergence rate exists.
     """
     chain.require_reversible(tol)
     if n < 2:
@@ -153,11 +148,7 @@ def converge_demo(
 
     errors = np.empty(n)
     block = max(1, min(n, _CONVERGE_ENTRIES // (m * m)))
-    prefixes = _tilted_prefixes(
-        factor
-        for first in range(0, n, block)
-        for factor in _tilt(chain.kernel.matrix, tilts[first : first + block])
-    )
+    prefixes = _tilted_prefixes(_factor_steps(chain.kernel.matrix, tilts, "u_schedule"))
     mu = chain.stationary
     # One buffer serves every block, and the distances are taken in it in
     # place: allocating a (b, m, m) temporary per block cost more than copying
@@ -198,9 +189,10 @@ def conjecture_scan(
     so identical arguments reproduce identical reports.  The cells of one m
     are computed together as one stack, all tilt factors of a pass in one
     call, with results bit-identical to computing each trial on its own; a
-    failing cell's error is re-raised naming the cell.  A pass holds as many
-    cells as keep its ``(cells, n_max, m, m)`` factor stack within
-    ``_STACK_BYTES``, at least one.
+    failing cell's error, a tilt that loses an entry of its kernel included,
+    is re-raised naming the cell.  A pass holds as many cells as keep its
+    ``(cells, n_max, m, m)`` factor stack within ``_STACK_BYTES``, at least
+    one.
 
     A cell draws its kernel from ``default_rng(seed)``, where ``seed`` (the
     trial's ``seed``) is the first 64 bits of child 0 of
@@ -427,39 +419,25 @@ def _scan_stack(weights: np.ndarray, tilts: np.ndarray, lengths: np.ndarray, tol
     The steps of :func:`random_reversible`, :func:`tilted_product`,
     :func:`stationary_distribution` and :func:`reversibility_defect`, each on
     the whole stack.  The product and its stationary vectors are certified as
-    those functions certify them, but the tilts are not checked as
+    those functions certify them.  The tilts are not value-checked as
     :func:`tilted_product` checks its ``us``: they are ``1 + ((1 + u_spread)
     - 1)·r`` with ``r`` in [0, 1), from a spread that :func:`conjecture_scan`
-    has checked finite and non-negative, so they are finite and at least 1.
-    Cell c's tilts are its first ``lengths[c]`` rows, the rest 1; ``lengths``
-    is sorted.
+    has checked finite and non-negative, so they are finite and at least 1;
+    but their factors, from ``_factor_steps``, keep their zero pattern or
+    raise.  Cell c's tilts are its first ``lengths[c]`` rows, the rest 1;
+    ``lengths`` is sorted.
     """
     k, m = weights.shape[:2]
     kernel, mu = _weighted_chain(weights)
 
     # Step j continues the cells with more than j factors, a suffix of the stack.
     starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1), side="right")
+    factors = (step[starts[j] :] for j, step in enumerate(_factor_steps(kernel, tilts, "us")))
     products = np.empty_like(kernel)
-    for j, prod in enumerate(_tilted_prefixes(_factor_steps(kernel, tilts, starts))):
+    for j, prod in enumerate(_tilted_prefixes(factors)):
         products[starts[j] : starts[j + 1]] = prod[: starts[j + 1] - starts[j]]
     products = _certify(products, tol)
     mu_actual = _stationary(products, tol)
 
     candidate = _tilted_mu(kernel, mu, tilts[:, 0], tilts[np.arange(k), lengths - 1])
     return _defect(products, mu_actual), np.abs(mu_actual - candidate).max(axis=-1)
-
-
-def _factor_steps(kernel: np.ndarray, tilts: np.ndarray, starts: np.ndarray):
-    """Yield step j's factors ``_tilt(kernel[c], tilts[c, j])`` for the cells ``c >= starts[j]``.
-
-    The factors are tilted in one call per block of steps, each block's
-    ``(k, steps, m, m)`` stack within ``_STACK_BYTES``: one block for any
-    pass that :func:`conjecture_scan` sizes, several for one oversized cell.
-    """
-    k, n_max, m = tilts.shape
-    block = max(1, _STACK_BYTES // (8 * k * m * m))
-    for first in range(0, n_max, block):
-        factors = _tilt(kernel[:, None], tilts[:, first : first + block])
-        for j in range(first, min(first + block, n_max)):
-            yield factors[starts[j] :, j - first]
-

@@ -180,15 +180,15 @@ def tilted_stationary(
     (entrywise products), exact up to rounding; :func:`_tilted_mu` evaluates
     it with power-of-two scaling that no spread of ``u`` overflows; a
     component below the float range, which rounds to 0, raises
-    :class:`ZeroStationaryError`.  No eigenproblem is solved.  ``u`` is
-    checked once; the tilt is certified by the :class:`StochasticMatrix`
-    constructor, as in :func:`tilt`, and ``chain`` certified itself.
+    :class:`ZeroStationaryError` before the tilt is formed.  No eigenproblem
+    is solved.  ``u`` is checked once; the tilt keeps its zero pattern or
+    raises, and is certified, as in :func:`tilt`; ``chain`` certified itself.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
-    tilted = StochasticMatrix(_tilt(P, uv), tol)
-    return tilted, readonly(_in_range(_tilted_mu(P, chain.stationary, uv), "the tilt by u"))
+    mu = _in_range(_tilted_mu(P, chain.stationary, uv), "the tilt by u")
+    return StochasticMatrix(_tilt(P, uv, "P", "u"), tol), readonly(mu)
 
 
 def two_tilt_product(
@@ -200,9 +200,10 @@ def two_tilt_product(
     of ``(P u) o mu o v``, which is stationary for ``W`` and which
     :func:`_tilted_mu` evaluates with power-of-two scaling that no spread of
     ``u`` and ``v`` overflows; a component below the float range, which
-    rounds to 0, raises :class:`ZeroStationaryError`.  ``u`` and ``v`` are
-    checked once, and only ``W`` is certified, by its constructor: a tilt of
-    the kernel ``chain`` certified has no dust to clamp.
+    rounds to 0, raises :class:`ZeroStationaryError` before the tilts are
+    formed.  ``u`` and ``v`` are checked once; each tilt keeps its zero
+    pattern or raises, naming ``u`` or ``v``; only ``W`` is certified: a
+    tilt of the kernel ``chain`` certified has no dust to clamp.
 
     For reversible ``(P, mu)``, ``W`` is reversible with respect to
     ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
@@ -218,8 +219,8 @@ def two_tilt_product(
     P = chain.kernel.matrix
     uv = _state_vector(u, "u", P.shape[0])
     vv = _state_vector(v, "v", P.shape[0])
-    product = StochasticMatrix(_tilt(P, uv) @ _tilt(P, vv), tol)
     mu_w = _in_range(_tilted_mu(P, chain.stationary, uv, vv), "the product of the tilts by u and v")
+    product = StochasticMatrix(_tilt(P, uv, "P", "u") @ _tilt(P, vv, "P", "v"), tol)
 
     defect = float(_defect(product.matrix, mu_w))
     if not defect <= tol:

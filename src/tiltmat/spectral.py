@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, LengthMismatchError, NotSymmetricError
 from .reversible import _defect, _similar_symmetric, _stationary_residual
-from .validation import DEFAULT_TOL, _EPS, _as_array, as_positive_vector, as_square_matrix
+from .validation import (
+    DEFAULT_TOL, _EPS, _as_array, _as_scalar, as_positive_vector, as_square_matrix
+)
 
 METHOD_JACOBI = "symmetric-jacobi"
 METHOD_QR = "general-qr"
@@ -64,8 +66,8 @@ class BoundReport:
     def evaluate(
         cls, observed_lambda2: float, bound_value: float, n_states: int = 1
     ) -> "BoundReport":
-        observed = float(_as_array(observed_lambda2, "observed_lambda2"))
-        bound = float(_as_array(bound_value, "bound_value"))
+        observed = _as_scalar(observed_lambda2, "observed_lambda2")
+        bound = _as_scalar(bound_value, "bound_value")
         margin = max(1e-9 * max(abs(observed), abs(bound)), 4 * n_states * _EPS)
         return cls(observed, bound, observed <= bound + margin, bound - observed)
 
@@ -178,7 +180,7 @@ def bound_tilted(lambda2_P: float, u) -> float:
     """Bound on the tilted second eigenvalue: ``lambda2 * (max u / min u)**2``."""
     uv = as_positive_vector(u, "u")
     ratio = float(uv.max()) / float(uv.min())
-    return float(_as_array(lambda2_P, "lambda2_P")) * ratio * ratio
+    return _as_scalar(lambda2_P, "lambda2_P") * ratio * ratio
 
 
 def bound_pair(lambda2_1: float, lambda2_2: float, mu1, mu2) -> float:
@@ -220,7 +222,7 @@ def bound_main(lambda2_P: float, us) -> float:
     if not vectors:
         raise DimensionError("us must contain at least one vector")
     highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
-    return float(_main_bound_curve(_as_array(lambda2_P, "lambda2_P"), highs, lows)[-1])
+    return float(_main_bound_curve(_as_scalar(lambda2_P, "lambda2_P"), highs, lows)[-1])
 
 
 def _main_bound_curve(lambda2_P: float, highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
@@ -232,12 +234,11 @@ def _main_bound_curve(lambda2_P: float, highs: np.ndarray, lows: np.ndarray) -> 
     bit for bit.  Once the product of ratios overflows, the bound is vacuous
     and reads inf, also where ``lambda2**(k+1)`` is 0.
     """
-    lam = float(lambda2_P)
     curve = []
     spread = 1.0
     for k, (high, low) in enumerate(zip(highs.tolist(), lows.tolist()), start=1):
         spread *= _power(high / low, 4)
-        curve.append(math.inf if spread == math.inf else _power(lam, k) * spread)
+        curve.append(math.inf if spread == math.inf else _power(lambda2_P, k) * spread)
     return np.array(curve)
 
 

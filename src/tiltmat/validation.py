@@ -45,7 +45,9 @@ class StochasticMatrix:
     """A rectangular matrix certified row-stochastic within ``tol``.
 
     The constructor certifies ``matrix`` as :func:`tiltmat.validate_stochastic`
-    describes: entries are non-negative and each row sums to 1 within ``tol``.
+    describes: entries are non-negative and each row sums to 1 within ``tol``,
+    or within ``max(tol, m·eps)`` for a row whose dust was clamped, since its
+    renormalization rounds.
     """
 
     matrix: np.ndarray
@@ -79,6 +81,14 @@ def _as_array(values, name: str) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{name} will not convert to float64: {exc}") from None
+
+
+def _as_scalar(value, name: str) -> float:
+    """``value`` by :func:`_as_array` as a float; any other shape is a DimensionError."""
+    arr = _as_array(value, name)
+    if arr.ndim != 0:
+        raise DimensionError(f"{name} must be a scalar, got shape {arr.shape}")
+    return float(arr)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

@@ -405,6 +405,77 @@ def test_a_value_that_will_not_convert_is_a_format_error(call, value):
         function(UNCONVERTIBLE[value])
 
 
+# Every argument that takes a lambda_2 value: one that converts but is not a
+# scalar is a DimensionError naming it, not float()'s TypeError.
+SCALAR_CALLS = {
+    "bound_tilted(lambda2_P)": (lambda bad: tiltmat.bound_tilted(bad, ONES), "lambda2_P"),
+    "bound_main(lambda2_P)": (lambda bad: tiltmat.bound_main(bad, [ONES]), "lambda2_P"),
+    "BoundReport.evaluate(observed)": (
+        lambda bad: tiltmat.BoundReport.evaluate(bad, 0.5), "observed_lambda2"
+    ),
+    "BoundReport.evaluate(bound)": (
+        lambda bad: tiltmat.BoundReport.evaluate(0.5, bad), "bound_value"
+    ),
+}
+
+
+@pytest.mark.parametrize("value, shape", [([0.5, 0.4], "(2,)"), ([0.5], "(1,)"), ([[0.5]], "(1, 1)")])
+@pytest.mark.parametrize("call", sorted(SCALAR_CALLS))
+def test_a_lambda2_that_is_not_a_scalar_is_a_dimension_error(call, value, shape):
+    function, name = SCALAR_CALLS[call]
+    with pytest.raises(DimensionError, match=f"^{re.escape(name)} must be a scalar, got shape "
+                       f"{re.escape(shape)}$"):
+        function(value)
+    function(np.float64(0.5))
+    function(np.array(0.5))
+
+
+def thin_link_chain():
+    """A reversible 3-state chain whose states 0 and 2 are joined by weight 1e-300."""
+    weights = np.array([[1.0, 1.0, 1e-300], [1.0, 1.0, 1.0], [1e-300, 1.0, 1.0]])
+    mass = weights.sum(axis=1)
+    return tiltmat.ReversibleChain(weights / mass[:, None], mass / mass.sum())
+
+
+# Every public function that tilts, with a tilt by THIN_TILT that rounds the
+# thin link's entry (0,2) to 0, and the matrix and vector its error names.
+THIN_TILT = [1.0, 1.0, 1e-30]
+LOST_ENTRY_CALLS = {
+    "tilt": (lambda c: tilt(c.kernel, THIN_TILT), "A", "u"),
+    "tilted_product": (lambda c: tilted_product(c.kernel, [np.ones(3), THIN_TILT]), "P", "us[1]"),
+    "normalize_product": (
+        lambda c: normalize_product([(c.kernel, np.ones(3)), (c.kernel, THIN_TILT)]), "A_2", "u_2"
+    ),
+    "tilted_stationary": (lambda c: tiltmat.tilted_stationary(c, THIN_TILT), "P", "u"),
+    "two_tilt_product(u)": (lambda c: tiltmat.two_tilt_product(c, THIN_TILT, np.ones(3)), "P", "u"),
+    "two_tilt_product(v)": (lambda c: tiltmat.two_tilt_product(c, np.ones(3), THIN_TILT), "P", "v"),
+    "converge_demo": (
+        lambda c: tiltmat.converge_demo(c, [np.ones(3), THIN_TILT], n=3), "P", "u_schedule[1]"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LOST_ENTRY_CALLS))
+def test_every_tilt_keeps_its_zero_pattern_or_raises(call):
+    function, a_name, u_name = LOST_ENTRY_CALLS[call]
+    message = f"entry (0,2) of {a_name} is positive; its tilt by {u_name} rounds to 0"
+    with pytest.raises(PatternMismatchError, match=f"^{re.escape(message)}$"):
+        function(thin_link_chain())
+
+
+def test_tilt_detect_raises_where_its_rebuilt_tilt_loses_an_entry():
+    # P1 is the exact tilt of P2 by u = (1e-300, 1e-300, 1), but forming that
+    # tilt rounds P2's entry (0,1) times u_1 to 0 before the row is normalized:
+    # tilt raises on it, and so does the search that recovers u.
+    P2 = np.array([[1 - 1e-30, 1e-30, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+    P1 = np.array([[1 - 1e-30, 1e-30, 0.0], [1e-300, 2e-300, 1.0], [0.0, 1e-300, 1.0]])
+    with pytest.raises(PatternMismatchError, match=r"^entry \(0,1\) of A is positive; "):
+        tilt(P2, [1e-300, 1e-300, 1.0])
+    message = "entry (0,1) of P2 is positive; its tilt by u rounds to 0"
+    with pytest.raises(PatternMismatchError, match=f"^{re.escape(message)}$"):
+        tilt_detect(P1, P2)
+
+
 def test_stochastic_matrix_array_protocol():
     P = validate_stochastic([[0.5, 0.5], [0.25, 0.75]])
     view = np.asarray(P)
@@ -861,7 +932,7 @@ def test_stack_kernels_match_single_matrix(m):
     stack /= stack.sum(axis=-1, keepdims=True)
     # dust below zero on some rows exercises the clamp
     stack[::3, :, 0] -= 1e-12 * (stack[::3, :, 0] == 0.0)
-    certified = core._certify(stack, 1e-9)
+    certified = validation._certify(stack, 1e-9)
     connected = core._strongly_connected(stack)
     for arr, cert, conn in zip(stack, certified, connected):
         assert np.array_equal(cert, validate_stochastic(arr).matrix)
@@ -877,13 +948,13 @@ def test_certify_stack_errors_locate_within_matrix():
     stack = np.stack([np.eye(3), np.eye(3)])
     stack[1, 2, 0] = 0.5
     with pytest.raises(RowSumError, match=r"^row 2 sums to 1\.5, "):
-        core._certify(stack, 1e-9)
+        validation._certify(stack, 1e-9)
     stack[1, 2, 0] = -0.5
     with pytest.raises(NegativeEntryError, match=r"^entry \(2,0\) = -0\.5 is below -tol$"):
-        core._certify(stack, 1e-9)
+        validation._certify(stack, 1e-9)
     stack[1, 2, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        core._certify(stack, 1e-9)
+        validation._certify(stack, 1e-9)
 
 
 def reference_strongly_connected(adj):

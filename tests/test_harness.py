@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -11,6 +12,7 @@ from tiltmat import (
     NonFiniteError,
     NotIrreducibleError,
     NotReversibleError,
+    PatternMismatchError,
     PeriodicError,
     ReversibleChain,
     TiltmatError,
@@ -23,7 +25,7 @@ from tiltmat import (
     tilted_product,
     validate_stochastic,
 )
-from tiltmat import harness
+from tiltmat import core, harness
 
 THREE_CYCLE = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
@@ -82,8 +84,9 @@ def test_converge_bound_curve_dominates():
 
 
 def test_converge_overflowing_tilt_ratio_reads_inf_without_warning():
-    # max u / min u overflows: the bound is vacuous, and no RuntimeWarning reaches stderr
-    u = np.array([1e308, 1e-308])
+    # max u / min u overflows: the bound is vacuous, and no RuntimeWarning reaches stderr.
+    # (1e308, 1e-308) would also round the tilt's entry (0,1) to 0, which raises instead.
+    u = np.array([1e308, 0.1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = converge_demo(random_reversible(2, seed=56), [u], n=3)
@@ -152,6 +155,8 @@ BOUNDARY_SCHEDULES = {
     "string": ["abc"],
     "too-large-int": [[1, 10**400, 1]],
     "columns": [np.array([[1.0], [1.5], [2.0]]), np.array([[2.0], [1.0], [1.25]])],
+    # Valid vectors whose tilt of the chain rounds entry (0,1) to 0.
+    "lost-entry": [np.ones(3), [1e308, 1e-308, 1.0]],
 }
 
 
@@ -427,11 +432,24 @@ def test_concurrent_scans_match_serial():
 
 
 def test_scan_cell_over_stack_bytes_tilts_in_step_blocks(monkeypatch):
-    # A pass of one cell whose factors exceed _STACK_BYTES is tilted a few steps at a time.
+    # A pass of one cell whose factors exceed _STACK_BYTES is tilted a few steps at a time:
+    # conjecture_scan sizes its passes by the harness's name for it, and
+    # core._factor_steps its blocks of steps by its own.
     m, n = 5, 7
     monkeypatch.setattr(harness, "_STACK_BYTES", 2 * 8 * m * m)
+    monkeypatch.setattr(core, "_STACK_BYTES", 2 * 8 * m * m)
     args = ([m], [n], 2, 11, 3.0)
     assert conjecture_scan(*args) == per_trial_scan(*args)
+
+
+def test_scan_stack_raises_on_a_tilt_that_loses_an_entry():
+    # States 0 and 2 joined by weight 1e-300: the second step's tilt by
+    # (1, 1, 1e-30) rounds the kernel's entry (0,2) to 0.
+    weights = np.array([[[1.0, 1.0, 1e-300], [1.0, 1.0, 1.0], [1e-300, 1.0, 1.0]]])
+    tilts = np.array([[[1.0, 1.0, 1.0], [1.0, 1.0, 1e-30]]])
+    message = "entry (0,2) of P is positive; its tilt by us[1] rounds to 0"
+    with pytest.raises(PatternMismatchError, match=f"^{re.escape(message)}$"):
+        harness._scan_stack(weights, tilts, np.array([2]), 1e-9)
 
 
 def test_scan_across_stack_passes_matches_per_trial():
