@@ -6,6 +6,14 @@ with ``--format``.  All randomness flows through ``--seed``, and outputs use
 shortest round-trip float formatting, so identical invocations on identical
 files produce byte-identical results.
 
+Each command computes its result and names each output field once, in one
+record; both formats render from that record through the one writer in
+:mod:`tiltmat.io`: ``structured`` as one JSON line, ``csv`` as ``# key,values``
+comment lines, an optional header row and data rows.  Where the two formats
+differ, the command says so in the rows it passes: csv ``spectral`` has no
+method, csv ``gen`` no stationary vector or defect, and csv ``tilt-detect``
+reports an absent tilt as ``# absent,<reason>``.
+
 Exit codes: 0 on success, 1 on domain errors (one ``Code: message`` line on
 stderr), 2 on usage errors (bad flags, missing or unreadable files).
 """
@@ -13,7 +21,6 @@ stderr), 2 on usage errors (bad flags, missing or unreadable files).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -22,7 +29,7 @@ import numpy as np
 from .core import normalize_product, tilt, tilt_detect, tilted_product, validate_stochastic
 from .errors import TiltmatError
 from .harness import _uniform, conjecture_scan, converge_demo
-from .io import _matrix_object, float_repr, format_matrix, format_vector, parse_matrix, parse_vector
+from .io import _matrix_object, _render, format_matrix, format_vector, parse_matrix, parse_vector
 from .reversible import (
     ReversibleChain,
     random_reversible,
@@ -43,35 +50,23 @@ from .spectral import (
 )
 
 _CANDIDATE_NOTE = "normalize((P u_1) o mu_P o u_n); hypothesis, reported not asserted"
+# One column list per table: its JSON keys and its csv header.
+_BOUND_COLUMNS = ("observed_lambda2", "bound_value", "satisfied", "slack")
+_SCAN_COLUMNS = ("m", "n", "seed", "defect", "candidate_residual")
 
 
 class _UsageError(Exception):
     """Bad flag combinations or parameter values; maps to exit code 2."""
 
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
+    """The matrix or vector that ``parse`` (parse_matrix or parse_vector) reads from ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    return parse_matrix(_read(path))
-
-
-def _read_vector(path: str) -> np.ndarray:
-    return parse_vector(_read(path))
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _structured(payload) -> str:
-    return json.dumps(payload) + "\n"
+        return parse(handle.read())
 
 
 def _cmd_tilt(args) -> str:
-    result = tilt(_read_matrix(args.matrix), _read_vector(args.vector), args.tol)
+    result = tilt(_read(args.matrix, parse_matrix), _read(args.vector, parse_vector), args.tol)
     return format_matrix(result.matrix, args.format)
 
 
@@ -82,63 +77,43 @@ def _cmd_normalize_product(args) -> str:
             "each factor needs one of each"
         )
     factors = [
-        (_read_matrix(mp), _read_vector(vp))
+        (_read(mp, parse_matrix), _read(vp, parse_vector))
         for mp, vp in zip(args.matrix, args.vector)
     ]
     fact = normalize_product(factors, args.tol)
-    if args.format == "structured":
-        return _structured(
-            {
-                "scale": [float(x) for x in fact.scale],
-                "log_scale": fact.log_scale,
-                "kernel": _matrix_object(fact.kernel.matrix),
-            }
-        )
-    header = (
-        f"# log_scale,{float_repr(fact.log_scale)}\n"
-        "# scale," + ",".join(float_repr(x) for x in fact.scale) + "\n"
-    )
-    return header + format_matrix(fact.kernel.matrix, "csv")
+    kernel = fact.kernel.matrix
+    record = {
+        "scale": fact.scale.tolist(),
+        "log_scale": fact.log_scale,
+        "kernel": _matrix_object(kernel),
+    }
+    return _render(args.format, record, kernel, ("log_scale", "scale"))
 
 
 def _cmd_stationary(args) -> str:
-    mu = stationary_distribution(_read_matrix(args.matrix), args.tol)
+    mu = stationary_distribution(_read(args.matrix, parse_matrix), args.tol)
     return format_vector(mu, args.format)
 
 
 def _cmd_check_reversible(args) -> str:
-    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
-    reversible = chain.defect <= args.tol
-    if args.format == "structured":
-        return _structured(
-            {
-                "reversible": reversible,
-                "defect": chain.defect,
-                "stationary": [float(x) for x in chain.stationary],
-            }
-        )
-    return f"reversible,defect\n{_bool(reversible)},{float_repr(chain.defect)}\n"
+    chain = ReversibleChain.from_kernel(_read(args.matrix, parse_matrix), args.tol)
+    columns, values = ("reversible", "defect"), (chain.defect <= args.tol, chain.defect)
+    record = {**dict(zip(columns, values)), "stationary": chain.stationary.tolist()}
+    return _render(args.format, record, [columns, values])
 
 
 def _cmd_spectral(args) -> str:
     method = {"auto": "auto", "jacobi": METHOD_JACOBI, "qr": METHOD_QR}[args.method]
-    result = spectrum(_read_matrix(args.matrix), method, args.tol)
+    result = spectrum(_read(args.matrix, parse_matrix), method, args.tol)
     pairs = np.column_stack([result.eigenvalues.real, result.eigenvalues.imag])
-    if args.format == "structured":
-        return _structured(
-            {
-                "method": result.method,
-                "eigenvalues": [[float(re), float(im)] for re, im in pairs],
-            }
-        )
-    return format_matrix(pairs, "csv")
+    return _render(args.format, {"method": result.method, "eigenvalues": pairs.tolist()}, pairs)
 
 
 def _cmd_bounds(args) -> str:
-    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
+    chain = ReversibleChain.from_kernel(_read(args.matrix, parse_matrix), args.tol)
     chain.require_reversible(args.tol)
     m = chain.n_states
-    us = [_read_vector(path) for path in args.vector]
+    us = [_read(path, parse_vector) for path in args.vector]
     lam_p = second_eigenvalue_modulus(chain.kernel, chain.stationary, args.tol)
 
     tilts = [tilted_stationary(chain, u, args.tol) for u in us]
@@ -146,68 +121,33 @@ def _cmd_bounds(args) -> str:
         second_eigenvalue_modulus(U, mu_u, args.tol) for U, mu_u in tilts
     ]
 
-    rows: list[tuple[str, BoundReport]] = []
-    rows.append(
-        ("tilted", BoundReport.evaluate(lam_tilts[0], bound_tilted(lam_p, us[0]), m))
-    )
+    reports = {"tilted": BoundReport.evaluate(lam_tilts[0], bound_tilted(lam_p, us[0]), m)}
     if len(us) >= 2:
         pair_w, pair_mu = two_tilt_product(chain, us[0], us[1], args.tol)
         observed_pair = second_eigenvalue_modulus(pair_w, pair_mu, args.tol)
         value = bound_pair(lam_tilts[0], lam_tilts[1], tilts[0][1], tilts[1][1])
-        rows.append(("pair", BoundReport.evaluate(observed_pair, value, m)))
+        reports["pair"] = BoundReport.evaluate(observed_pair, value, m)
 
     observed_prod = second_eigenvalue_modulus(
         tilted_product(chain.kernel, us, args.tol), None, args.tol
     )
-    rows.append(
-        (
-            "chain",
-            BoundReport.evaluate(
-                observed_prod, bound_chain(lam_tilts, [mu for _, mu in tilts]), m
-            ),
-        )
-    )
-    rows.append(("main", BoundReport.evaluate(observed_prod, bound_main(lam_p, us), m)))
+    value = bound_chain(lam_tilts, [mu for _, mu in tilts])
+    reports["chain"] = BoundReport.evaluate(observed_prod, value, m)
+    reports["main"] = BoundReport.evaluate(observed_prod, bound_main(lam_p, us), m)
 
-    if args.format == "structured":
-        return _structured(
-            {
-                "bounds": [
-                    {
-                        "name": name,
-                        "observed_lambda2": report.observed_lambda2,
-                        "bound_value": report.bound_value,
-                        "satisfied": report.satisfied,
-                        "slack": report.slack,
-                    }
-                    for name, report in rows
-                ]
-            }
-        )
-    lines = ["bound,observed_lambda2,bound_value,satisfied,slack"]
-    for name, report in rows:
-        lines.append(
-            f"{name},{float_repr(report.observed_lambda2)},"
-            f"{float_repr(report.bound_value)},{_bool(report.satisfied)},"
-            f"{float_repr(report.slack)}"
-        )
-    return "\n".join(lines) + "\n"
+    table = [[name, *(getattr(r, c) for c in _BOUND_COLUMNS)] for name, r in reports.items()]
+    record = {"bounds": [dict(zip(("name", *_BOUND_COLUMNS), row)) for row in table]}
+    return _render(args.format, record, [("bound", *_BOUND_COLUMNS), *table])
 
 
 def _cmd_tilt_detect(args) -> str:
-    p1 = validate_stochastic(_read_matrix(args.matrix), args.tol)
-    p2 = validate_stochastic(_read_matrix(args.base), args.tol)
+    p1 = validate_stochastic(_read(args.matrix, parse_matrix), args.tol)
+    p2 = validate_stochastic(_read(args.base, parse_matrix), args.tol)
     detection = tilt_detect(p1, p2, args.tol)
-    if args.format == "structured":
-        factor = (
-            [float(x) for x in detection.factor] if detection.found else None
-        )
-        return _structured(
-            {"found": detection.found, "reason": detection.reason, "factor": factor}
-        )
-    if detection.found:
-        return format_vector(detection.factor, "csv")
-    return f"# absent,{detection.reason}\n"
+    factor = detection.factor.tolist() if detection.found else None
+    record = {"found": detection.found, "reason": detection.reason, "factor": factor}
+    row = factor if detection.found else ("# absent", detection.reason)
+    return _render(args.format, record, [row])
 
 
 def _cmd_converge(args) -> str:
@@ -215,7 +155,7 @@ def _cmd_converge(args) -> str:
         raise _UsageError(f"--steps must be at least 2, got {args.steps}")
     if not 0.0 <= args.spread < math.inf:
         raise _UsageError(f"--spread must be finite and >= 0, got {args.spread}")
-    chain = ReversibleChain.from_kernel(_read_matrix(args.matrix), args.tol)
+    chain = ReversibleChain.from_kernel(_read(args.matrix, parse_matrix), args.tol)
     m = chain.n_states
     if args.schedule == "ones":
         schedule = [np.ones(m)]
@@ -226,27 +166,16 @@ def _cmd_converge(args) -> str:
             raise _UsageError(str(exc)) from None
         schedule = [1.0 + (0.5 ** i) * r for i in range(1, args.steps + 1)]
     report = converge_demo(chain, schedule, args.steps, args.tol)
-    if args.format == "structured":
-        return _structured(
-            {
-                "n_steps": report.n_steps,
-                "fitted_rate": report.fitted_rate,
-                "predicted_rate": report.predicted_rate,
-                "errors": [float(x) for x in report.errors],
-                "bound_curve": [float(x) for x in report.bound_curve],
-            }
-        )
-    lines = [
-        f"# fitted_rate,{float_repr(report.fitted_rate)}",
-        f"# predicted_rate,{float_repr(report.predicted_rate)}",
-        "step,error,bound",
-    ]
-    for k in range(report.n_steps):
-        lines.append(
-            f"{k + 1},{float_repr(report.errors[k])},"
-            f"{float_repr(report.bound_curve[k])}"
-        )
-    return "\n".join(lines) + "\n"
+    record = {
+        "n_steps": report.n_steps,
+        "fitted_rate": report.fitted_rate,
+        "predicted_rate": report.predicted_rate,
+        "errors": report.errors.tolist(),
+        "bound_curve": report.bound_curve.tolist(),
+    }
+    steps = zip(range(1, report.n_steps + 1), record["errors"], record["bound_curve"])
+    rows = [("step", "error", "bound"), *steps]
+    return _render(args.format, record, rows, ("fitted_rate", "predicted_rate"))
 
 
 def _cmd_conjecture_scan(args) -> str:
@@ -265,32 +194,10 @@ def _cmd_conjecture_scan(args) -> str:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "structured":
-        return _structured(
-            {
-                "candidate": _CANDIDATE_NOTE,
-                "trials": [
-                    {
-                        "m": t.m,
-                        "n": t.n,
-                        "seed": t.seed,
-                        "defect": t.defect,
-                        "candidate_residual": t.candidate_residual,
-                    }
-                    for t in trials
-                ],
-            }
-        )
-    lines = [
-        f"# candidate,{_CANDIDATE_NOTE}",
-        "m,n,seed,defect,candidate_residual",
-    ]
-    for t in trials:
-        lines.append(
-            f"{t.m},{t.n},{t.seed},{float_repr(t.defect)},"
-            f"{float_repr(t.candidate_residual)}"
-        )
-    return "\n".join(lines) + "\n"
+    table = [[getattr(t, c) for c in _SCAN_COLUMNS] for t in trials]
+    trial_records = [dict(zip(_SCAN_COLUMNS, row)) for row in table]
+    record = {"candidate": _CANDIDATE_NOTE, "trials": trial_records}
+    return _render(args.format, record, [_SCAN_COLUMNS, *table], ("candidate",))
 
 
 def _cmd_gen(args) -> str:
@@ -298,15 +205,13 @@ def _cmd_gen(args) -> str:
         chain = random_reversible(args.m, args.seed, args.sparsity)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "structured":
-        return _structured(
-            {
-                **_matrix_object(chain.kernel.matrix),
-                "stationary": [float(x) for x in chain.stationary],
-                "defect": chain.defect,
-            }
-        )
-    return format_matrix(chain.kernel.matrix, "csv")
+    kernel = chain.kernel.matrix
+    record = {
+        **_matrix_object(kernel),
+        "stationary": chain.stationary.tolist(),
+        "defect": chain.defect,
+    }
+    return _render(args.format, record, kernel)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    NegativeEntryError,
     NotIrreducibleError,
     PatternMismatchError,
     ZeroRowError,
@@ -28,6 +27,7 @@ from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
     StochasticMatrix,
+    _nonnegative,
     as_matrix,
     as_positive_vector,
     as_square_matrix,
@@ -38,6 +38,11 @@ from .validation import (
 # conjecture scan pass, (cells, steps, m, m): a longer schedule is tilted a block
 # of steps at a time and a larger grid runs in passes, so memory stays flat.
 _STACK_BYTES = 1 << 20
+
+
+def _stack_items(floats: int) -> int:
+    """How many items of ``floats`` float64 values each fit in ``_STACK_BYTES``, at least one."""
+    return max(1, _STACK_BYTES // (8 * floats))
 
 
 @dataclass(eq=False, frozen=True)
@@ -137,20 +142,14 @@ def tilt(A, u, tol: float = DEFAULT_TOL) -> StochasticMatrix:
 
     Returns ``D^{-1}(Au) A D(u)``, the row normalization of ``A D(u)``; every row
     of ``A`` needs a strictly positive entry, so that ``Au`` has no zero component.
+    ``tol`` must be positive and finite; entries of ``A`` in ``[-tol, 0)`` count as
+    zeros and one below ``-tol`` is a NegativeEntryError naming ``A``.
     The result is certified stochastic within ``tol`` and keeps the zero pattern of
     ``A`` exactly: a positive entry whose tilt rounds to 0 is a PatternMismatchError.
     """
     arr = as_matrix(A)
     uv = _state_vector(u, "u", arr.shape[1])
-    return StochasticMatrix(_tilt(_nonnegative(arr, tol), uv, "A", "u"), tol)
-
-
-def _nonnegative(arr: np.ndarray, tol: float) -> np.ndarray:
-    """``arr`` with dust in ``[-tol, 0)`` set to zero; an entry below ``-tol`` raises."""
-    low = float(arr.min())
-    if low < -tol:
-        raise NegativeEntryError("A must be non-negative")
-    return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
+    return StochasticMatrix(_tilt(_nonnegative(arr, tol, "A"), uv, "A", "u"), tol)
 
 
 def _tilt(arr: np.ndarray, uv: np.ndarray, a_name="A", u_name="u", first=0) -> np.ndarray:
@@ -161,7 +160,7 @@ def _tilt(arr: np.ndarray, uv: np.ndarray, a_name="A", u_name="u", first=0) -> n
     k of a stack ``(..., s, m)``; past one reduction, only a tilt with a 0 or NaN is searched.
     """
     out = arr * uv[..., None, :]
-    np.divide(out, _row_weights(arr, uv)[..., :, None], out=out)
+    np.divide(out, _row_weights(arr, uv, a_name)[..., :, None], out=out)
     if not out.min() > 0.0:
         lost = (arr > 0.0) & (out == 0.0)
         if lost.any():
@@ -173,12 +172,15 @@ def _tilt(arr: np.ndarray, uv: np.ndarray, a_name="A", u_name="u", first=0) -> n
     return out
 
 
-def _row_weights(arr: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """``A u`` per matrix of a stack; a component that is not positive raises ZeroRowError."""
+def _row_weights(arr: np.ndarray, uv: np.ndarray, a_name="A") -> np.ndarray:
+    """``A u`` per matrix of a stack; a component that is not positive is a ZeroRowError.
+
+    The error names the row and the matrix, as ``a_name``.
+    """
     weights = (arr @ uv[..., None])[..., 0]
     if np.any(weights <= 0.0):
         idx = np.unravel_index(int(np.argmin(weights)), weights.shape)
-        raise ZeroRowError(f"row {idx[-1]} of A has no strictly positive entry")
+        raise ZeroRowError(f"row {idx[-1]} of {a_name} has no strictly positive entry")
     return weights
 
 
@@ -209,7 +211,7 @@ def _factor_steps(kernel: np.ndarray, tilts: np.ndarray, name: str):
     block whose factors fit ``_STACK_BYTES``, so memory stays flat however long ``n`` is.
     """
     n_max, m = tilts.shape[-2:]
-    block = max(1, _STACK_BYTES // (8 * (tilts.size // n_max) * m))
+    block = _stack_items(tilts.size // n_max * m)
     for first in range(0, n_max, block):
         steps = tilts[..., first : first + block, :]
         yield from _tilt(kernel[..., None, :, :], steps, "P", name, first).swapaxes(0, -3)
@@ -362,7 +364,7 @@ def normalize_product(factors, tol: float = DEFAULT_TOL) -> TiltFactorization:
                 f"factor {k + 1} has shape {arr.shape}, expected ({m}, {m})"
             )
         uv = _state_vector(u_k, f"u_{k + 1}", m)
-        arr = _nonnegative(arr, tol)
+        arr = _nonnegative(arr, tol, f"A_{k + 1}")
         _tilt(arr, uv, f"A_{k + 1}", f"u_{k + 1}")
         checked.append((arr * uv, _row_weights(arr, uv)))
 
@@ -393,11 +395,14 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     as :func:`tilt` builds it, so it keeps the zero pattern of ``P2`` or
     raises; if it does not match ``P1`` entrywise within ``tol`` the search
     reports "not-rank-1".  The returned factor has largest component 1.
+    ``P2`` is held to :func:`tilt`'s sign rule before the patterns are
+    compared, naming ``P2``, so ``tol`` must be positive and finite.
     """
     a1 = as_matrix(P1)
     a2 = as_matrix(P2)
     if a1.shape != a2.shape:
         raise DimensionError(f"shapes {a1.shape} and {a2.shape} differ")
+    a2 = _nonnegative(a2, tol, "P2")
     support = a2 > 0.0
     if not np.array_equal(a1 > 0.0, support):
         raise PatternMismatchError("zero patterns differ, no tilt relation can hold")
@@ -428,6 +433,6 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
 
     u = np.exp(col_off)
     u = _state_vector(u / u.max(), "u", n)
-    if float(np.abs(_tilt(_nonnegative(a2, tol), u, "P2", "u") - a1).max()) > tol:
+    if float(np.abs(_tilt(a2, u, "P2", "u") - a1).max()) > tol:
         return TiltDetection(None, "not-rank-1")
     return TiltDetection(u, "ok")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _STACK_BYTES, _factor_steps, _state_vectors, _tilted_prefixes
+from .core import _factor_steps, _stack_items, _state_vectors, _tilted_prefixes
 from .errors import PeriodicError, TiltmatError
 from .reversible import (
     ReversibleChain, _defect, _reversible_weights, _stationary, _tilted_mu, _weighted_chain
@@ -191,7 +191,7 @@ def conjecture_scan(
     call, with results bit-identical to computing each trial on its own; a
     failing cell's error, a tilt that loses an entry of its kernel included,
     is re-raised naming the cell.  A pass holds as many cells as keep its
-    ``(cells, n_max, m, m)`` factor stack within ``_STACK_BYTES``, at least
+    ``(cells, n_max, m, m)`` factor stack within ``core._STACK_BYTES``, at least
     one.
 
     A cell draws its kernel from ``default_rng(seed)``, where ``seed`` (the
@@ -223,7 +223,7 @@ def conjecture_scan(
     rng = np.random.Generator(np.random.PCG64())
     trials, cells = [], len(ns) * trials_per_cell
     for first, m in zip(range(0, len(keys), cells), ms):
-        per_pass = max(1, _STACK_BYTES // (8 * m * m * ns[-1]))
+        per_pass = _stack_items(m * m * ns[-1])
         for start in range(first, first + cells, per_pass):
             stop = min(start + per_pass, first + cells)
             trials += _scan_cells(keys[start:stop], streams[start:stop], rng, u_spread, tol)

@@ -29,7 +29,7 @@ def float_repr(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_csv_rows(text: str) -> list[list[float]]:
+def _parse_csv(text: str) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -37,25 +37,23 @@ def _parse_csv_rows(text: str) -> list[list[float]]:
             continue
         row = []
         for token in stripped.split(","):
-            token = token.strip()
             try:
-                row.append(float(token))
+                row.append(float(token))  # float() ignores the whitespace around a token
             except ValueError:
-                raise FormatError(f"line {lineno}: {token!r} is not a number") from None
+                raise FormatError(f"line {lineno}: {token.strip()!r} is not a number") from None
         rows.append(row)
     if not rows:
         raise FormatError("no data rows found")
-    width = len(rows[0])
     for k, row in enumerate(rows):
-        if len(row) != width:
+        if len(row) != len(rows[0]):
             raise FormatError(
-                f"ragged rows: row 0 has {width} values, row {k} has {len(row)}"
+                f"ragged rows: row 0 has {len(rows[0])} values, row {k} has {len(row)}"
             )
-    return rows
+    return np.array(rows)
 
 
 def _json_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # json.loads gives exact types; a bool is no number
         raise FormatError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -80,17 +78,17 @@ def _parse_json_matrix(obj) -> np.ndarray:
         if key not in obj:
             raise FormatError(f"matrix JSON is missing {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
+    if any(type(v) is not int or v < 1 for v in (rows, cols)):
         raise FormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"data must be a list of {rows} rows")
-    out = np.empty((rows, cols))
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"data row {i} must be a list of {cols} numbers")
-        for j, value in enumerate(row):
-            out[i, j] = _json_number(value, f"data[{i}][{j}]")
-    return out
+    return np.array([_json_row(row, i, cols) for i, row in enumerate(data)])
+
+
+def _json_row(row, i, cols):
+    if not isinstance(row, list) or len(row) != cols:
+        raise FormatError(f"data row {i} must be a list of {cols} numbers")
+    return [_json_number(value, f"data[{i}][{j}]") for j, value in enumerate(row)]
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -100,7 +98,7 @@ def parse_matrix(text: str) -> np.ndarray:
         return _parse_json_matrix(_load_json(text))
     if head == "[":
         raise FormatError("matrix JSON must be an object with rows/cols/data")
-    return np.array(_parse_csv_rows(text))
+    return _parse_csv(text)
 
 
 def parse_vector(text: str) -> np.ndarray:
@@ -113,12 +111,10 @@ def parse_vector(text: str) -> np.ndarray:
         return np.array([_json_number(v, f"[{k}]") for k, v in enumerate(obj)])
     if head == "{":
         raise FormatError("vector JSON must be a flat array, not an object")
-    rows = _parse_csv_rows(text)
-    if len(rows) == 1:
-        return np.array(rows[0])
-    if len(rows[0]) == 1:
-        return np.array([row[0] for row in rows])
-    raise FormatError(f"expected a vector, got a {len(rows)}x{len(rows[0])} matrix")
+    arr = _parse_csv(text)
+    if 1 in arr.shape:
+        return arr.reshape(-1)
+    raise FormatError(f"expected a vector, got a {arr.shape[0]}x{arr.shape[1]} matrix")
 
 
 def format_matrix(matrix, fmt: str = "csv") -> str:
@@ -126,12 +122,7 @@ def format_matrix(matrix, fmt: str = "csv") -> str:
     arr = _as_array(matrix, "matrix")
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-    if fmt == "csv":
-        lines = [",".join(float_repr(x) for x in row) for row in arr]
-        return "\n".join(lines) + "\n"
-    if fmt == "structured":
-        return json.dumps(_matrix_object(arr)) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render(fmt, _matrix_object(arr), arr)
 
 
 def _matrix_object(arr: np.ndarray) -> dict:
@@ -144,8 +135,29 @@ def format_vector(vector, fmt: str = "csv") -> str:
     vec = _as_array(vector, "vector")
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D array, got ndim={vec.ndim}")
-    if fmt == "csv":
-        return ",".join(float_repr(x) for x in vec) + "\n"
+    return _render(fmt, vec.tolist(), [vec])
+
+
+def _render(fmt: str, record, rows, comments=()) -> str:
+    """The one writer: ``record`` as one JSON line, or as csv lines.
+
+    ``structured`` is ``json.dumps(record)``.  ``csv`` is a ``# key,values``
+    line for each key of ``record`` named in ``comments``, then one line per
+    row of ``rows``, a header row included.  A csv field is a float by
+    :func:`float_repr`, a bool as true/false, a sequence joined by commas,
+    and anything else by ``str``.
+    """
     if fmt == "structured":
-        return json.dumps([float(x) for x in vec]) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        return json.dumps(record) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    lines = [(f"# {key}", record[key]) for key in comments] + list(rows)
+    return "\n".join(map(_csv_field, lines)) + "\n"
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, float):  # the common case first
+        return float_repr(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(map(_csv_field, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)

@@ -114,20 +114,15 @@ def _as_2d(values, name: str) -> np.ndarray:
 def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
     """The checks of :func:`validate_stochastic` on a matrix or a stack ``(..., r, c)``.
 
-    Returns ``arr``, or a copy with its dust clamped.  Messages locate the
-    entry or row within its matrix; a caller passing a stack names the slice.
-    Finiteness is checked first, in :func:`as_matrix`'s words, so that
+    Returns ``arr``, or a copy with its dust clamped by :func:`_nonnegative`
+    and each row that had dust renormalized.  Messages locate the entry or row
+    within its matrix; a caller passing a stack names the slice.  Finiteness
+    is checked first, in :func:`as_matrix`'s words, so that
     :class:`StochasticMatrix` can leave that check to this function.
     """
     if not np.isfinite(arr).all():
         raise NonFiniteError("matrix contains NaN or infinite entries")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    low = float(arr.min())
-    if low < -tol:
-        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        i, j = idx[-2:]
-        raise NegativeEntryError(f"entry ({i},{j}) = {float(arr[idx])!r} is below -tol")
+    clamped = _nonnegative(arr, tol)
     row_sums = arr.sum(axis=-1)
     dev = np.abs(row_sums - 1.0)
     if np.any(dev > tol):
@@ -135,12 +130,28 @@ def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
         raise RowSumError(
             f"row {idx[-1]} sums to {float(row_sums[idx])!r}, off by more than tol={tol}"
         )
-    if low < 0.0:
-        arr = arr.copy()
+    if clamped is not arr:
         dusty = (arr < 0.0).any(axis=-1)
-        arr[arr < 0.0] = 0.0
-        arr[dusty] /= arr[dusty].sum(axis=-1, keepdims=True)
-    return arr
+        clamped[dusty] /= clamped[dusty].sum(axis=-1, keepdims=True)
+    return clamped
+
+
+def _nonnegative(arr: np.ndarray, tol: float, name: str = "") -> np.ndarray:
+    """The one sign rule: ``arr`` with its dust in ``[-tol, 0)`` set to 0, else ``arr`` itself.
+
+    ``tol`` must be positive and finite, a ValueError otherwise.  An entry
+    below ``-tol`` is a NegativeEntryError that locates it within its matrix
+    and names the matrix ``name``, when one is given.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    low = float(arr.min())
+    if low < -tol:
+        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
+        i, j = idx[-2:]
+        where = f" of {name}" if name else ""
+        raise NegativeEntryError(f"entry ({i},{j}){where} = {float(arr[idx])!r} is below -tol")
+    return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
 
 
 def as_square_matrix(values, name: str = "matrix") -> np.ndarray:

@@ -463,6 +463,42 @@ def test_every_tilt_keeps_its_zero_pattern_or_raises(call):
         function(thin_link_chain())
 
 
+HALF = [[0.5, 0.5], [0.5, 0.5]]
+# Every public function that tilts a matrix it is given, called on that matrix
+# with a tol, and the name its sign and zero-row errors give the matrix.
+TILTING_CALLS = {
+    "tilt": (lambda a, tol: tilt(a, [1.0, 2.0], tol), "A"),
+    "normalize_product": (
+        lambda a, tol: normalize_product([(HALF, [1.0, 1.0]), (a, [1.0, 2.0])], tol), "A_2"
+    ),
+    "tilt_detect": (lambda a, tol: tilt_detect(HALF, a, tol), "P2"),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(TILTING_CALLS))
+def test_tilting_calls_refuse_a_tol_that_is_not_positive_and_finite(call, tol):
+    # HALF is not a tilt of this matrix: with tol = inf, tilt_detect would find one.
+    function, _ = TILTING_CALLS[call]
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
+        function([[0.9, 0.1], [0.5, 0.5]], tol)
+
+
+@pytest.mark.parametrize("call", sorted(TILTING_CALLS))
+def test_a_negative_entry_is_named_as_its_argument(call):
+    function, name = TILTING_CALLS[call]
+    message = f"entry (0,1) of {name} = -0.5 is below -tol"
+    with pytest.raises(NegativeEntryError, match=f"^{re.escape(message)}$"):
+        function([[1.5, -0.5], [0.5, 0.5]], 1e-9)
+
+
+@pytest.mark.parametrize("call", ["normalize_product", "tilt"])
+def test_a_zero_row_is_named_as_its_argument(call):
+    function, name = TILTING_CALLS[call]
+    with pytest.raises(ZeroRowError, match=f"^row 1 of {name} has no strictly positive entry$"):
+        function([[0.5, 0.5], [0.0, 0.0]], 1e-9)
+
+
 def test_tilt_detect_raises_where_its_rebuilt_tilt_loses_an_entry():
     # P1 is the exact tilt of P2 by u = (1e-300, 1e-300, 1), but forming that
     # tilt rounds P2's entry (0,1) times u_1 to 0 before the row is normalized:

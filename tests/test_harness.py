@@ -433,10 +433,9 @@ def test_concurrent_scans_match_serial():
 
 def test_scan_cell_over_stack_bytes_tilts_in_step_blocks(monkeypatch):
     # A pass of one cell whose factors exceed _STACK_BYTES is tilted a few steps at a time:
-    # conjecture_scan sizes its passes by the harness's name for it, and
-    # core._factor_steps its blocks of steps by its own.
+    # conjecture_scan sizes its passes, and core._factor_steps its blocks of steps,
+    # by core's one _STACK_BYTES.
     m, n = 5, 7
-    monkeypatch.setattr(harness, "_STACK_BYTES", 2 * 8 * m * m)
     monkeypatch.setattr(core, "_STACK_BYTES", 2 * 8 * m * m)
     args = ([m], [n], 2, 11, 3.0)
     assert conjecture_scan(*args) == per_trial_scan(*args)
@@ -454,7 +453,7 @@ def test_scan_stack_raises_on_a_tilt_that_loses_an_entry():
 
 def test_scan_across_stack_passes_matches_per_trial():
     m, ns, trials_per_cell = 40, range(1, 4), 30
-    per_pass = harness._STACK_BYTES // (8 * m * m * max(ns))
+    per_pass = core._STACK_BYTES // (8 * m * m * max(ns))
     assert 2 * per_pass < len(ns) * trials_per_cell
     assert len(ns) * trials_per_cell % per_pass
     args = ([m], ns, trials_per_cell, 3, 2.0)
