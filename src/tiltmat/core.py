@@ -395,10 +395,11 @@ def tilt_detect(P1, P2, tol: float = DEFAULT_TOL) -> TiltDetection:
     as :func:`tilt` builds it, so it keeps the zero pattern of ``P2`` or
     raises; if it does not match ``P1`` entrywise within ``tol`` the search
     reports "not-rank-1".  The returned factor has largest component 1.
-    ``P2`` is held to :func:`tilt`'s sign rule before the patterns are
-    compared, naming ``P2``, so ``tol`` must be positive and finite.
+    ``P1`` is certified by :func:`validate_stochastic` and ``P2`` is held to
+    :func:`tilt`'s sign rule before the patterns are compared, naming ``P2``,
+    so ``tol`` must be positive and finite.
     """
-    a1 = as_matrix(P1)
+    a1 = validate_stochastic(P1, tol).matrix
     a2 = as_matrix(P2)
     if a1.shape != a2.shape:
         raise DimensionError(f"shapes {a1.shape} and {a2.shape} differ")

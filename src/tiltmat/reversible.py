@@ -11,6 +11,7 @@ makes their spectra real), and generates random reversible test chains.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,18 +178,10 @@ def tilted_stationary(
 
     For reversible ``(P, mu)`` the tilt ``U = tilt(P, u)`` is again reversible
     and its stationary distribution is the normalization of ``(P u) o mu o u``
-    (entrywise products), exact up to rounding; :func:`_tilted_mu` evaluates
-    it with power-of-two scaling that no spread of ``u`` overflows; a
-    component below the float range, which rounds to 0, raises
-    :class:`ZeroStationaryError` before the tilt is formed.  No eigenproblem
-    is solved.  ``u`` is checked once; the tilt keeps its zero pattern or
-    raises, and is certified, as in :func:`tilt`; ``chain`` certified itself.
+    (entrywise products), exact up to rounding.  :func:`_closed_form` with
+    the one vector ``u`` computes and certifies both, naming ``the tilt by u``.
     """
-    chain.require_reversible(tol)
-    P = chain.kernel.matrix
-    uv = _state_vector(u, "u", P.shape[0])
-    mu = _in_range(_tilted_mu(P, chain.stationary, uv), "the tilt by u")
-    return StochasticMatrix(_tilt(P, uv, "P", "u"), tol), readonly(mu)
+    return _closed_form(chain, {"u": u}, tol, "the tilt by u")
 
 
 def two_tilt_product(
@@ -197,38 +190,54 @@ def two_tilt_product(
     """Product of two tilts of one reversible kernel, with stationary vector.
 
     Returns ``W = tilt(P, u) @ tilt(P, v)`` and ``mu_W``, the normalization
-    of ``(P u) o mu o v``, which is stationary for ``W`` and which
-    :func:`_tilted_mu` evaluates with power-of-two scaling that no spread of
-    ``u`` and ``v`` overflows; a component below the float range, which
-    rounds to 0, raises :class:`ZeroStationaryError` before the tilts are
-    formed.  ``u`` and ``v`` are checked once; each tilt keeps its zero
-    pattern or raises, naming ``u`` or ``v``; only ``W`` is certified: a
-    tilt of the kernel ``chain`` certified has no dust to clamp.
+    of ``(P u) o mu o v``, which is stationary for ``W``.  For reversible
+    ``(P, mu)``, ``W`` is reversible with respect to ``mu_W``: with
+    ``S = D(mu) P`` symmetric, ``a = mu o P u`` and ``G = D(u / (mu o P v))``,
+    ``W = D(a)^{-1} S G S D(v)`` is similar to ``X X^T`` with
+    ``X = D(sqrt(v / a)) S G^{1/2}``, so its spectrum is real and
+    non-negative, which the bounds rely on.  :func:`_closed_form` with the
+    vectors ``u`` and ``v`` computes and certifies both, naming ``the product
+    of the tilts by u and v``.
+    """
+    return _closed_form(chain, {"u": u, "v": v}, tol, "the product of the tilts by u and v")
 
-    For reversible ``(P, mu)``, ``W`` is reversible with respect to
-    ``mu_W``: with ``S = D(mu) P`` symmetric, ``a = mu o P u`` and
-    ``G = D(u / (mu o P v))``, ``W = D(a)^{-1} S G S D(v)`` is similar to
-    ``X X^T`` with ``X = D(sqrt(v / a)) S G^{1/2}``, so its spectrum is real
-    and non-negative, which the bounds rely on.  That is certified here by
-    detailed balance of ``(W, mu_W)`` on the scale that
-    :meth:`ReversibleChain.require_reversible` applies to ``(P, mu)``:
-    ``max |F - F^T| <= tol`` with ``F = D(mu_W) W``, or
-    :class:`NotReversibleError`.
+
+def _closed_form(
+    chain: ReversibleChain, vectors: dict, tol: float, source: str
+) -> tuple[StochasticMatrix, np.ndarray]:
+    """The product of the tilts of ``chain`` by ``vectors`` (name: values), with its closed-form μ.
+
+    ``chain`` must pass :meth:`ReversibleChain.require_reversible` at ``tol``.
+    Each vector is checked once, by its name; :func:`_tilted_mu` evaluates
+    ``(P u_first) o mu o u_last`` with power-of-two scaling that no tilt
+    spread overflows, and a component below the float range, which rounds to
+    0, raises :class:`ZeroStationaryError` before any tilt is formed.  Each
+    tilt keeps its zero pattern or raises, naming its vector; only the
+    product is certified: a tilt of the kernel ``chain`` certified has no
+    dust to clamp.  The result is certified by detailed balance of
+    ``(product, mu)`` on the scale that ``require_reversible`` applies to
+    ``(P, mu)``, ``max |F - F^T| <= tol`` with ``F = D(mu) product``, or
+    :class:`NotReversibleError`; both errors name ``source``.
     """
     chain.require_reversible(tol)
     P = chain.kernel.matrix
-    uv = _state_vector(u, "u", P.shape[0])
-    vv = _state_vector(v, "v", P.shape[0])
-    mu_w = _in_range(_tilted_mu(P, chain.stationary, uv, vv), "the product of the tilts by u and v")
-    product = StochasticMatrix(_tilt(P, uv, "P", "u") @ _tilt(P, vv, "P", "v"), tol)
-
-    defect = float(_defect(product.matrix, mu_w))
+    checked = {name: _state_vector(x, name, P.shape[0]) for name, x in vectors.items()}
+    mu = _tilted_mu(P, chain.stationary, *checked.values())
+    if not mu.min() > 0.0:
+        raise ZeroStationaryError(
+            f"stationary component {int(np.argmin(mu))} of {source} is below the float range"
+        )
+    tilts = [_tilt(P, x, "P", name) for name, x in checked.items()]
+    product = StochasticMatrix(functools.reduce(np.matmul, tilts), tol)
+    # A flow that underflows is far below any tol.
+    with np.errstate(under="ignore"):
+        defect = float(_defect(product.matrix, mu))
     if not defect <= tol:
         raise NotReversibleError(
-            f"two-tilt product has detailed-balance defect {defect!r} "
-            f"above tol={tol!r}; the input chain is too far from detailed balance"
+            f"{source} has detailed-balance defect {defect!r} above tol={tol!r}; "
+            "the input chain is too far from detailed balance"
         )
-    return product, readonly(mu_w)
+    return product, readonly(mu)
 
 
 # The closed form's largest scaled term is below 2**_TOP: sums of m < 2**60 stay finite.
@@ -254,20 +263,6 @@ def _tilted_mu(kernel: np.ndarray, mu: np.ndarray, *ends: np.ndarray) -> np.ndar
     out = np.ldexp(fractions[0] * fractions[1], exponents)
     out /= out.sum(axis=-1, keepdims=True)
     return out
-
-
-def _in_range(mu: np.ndarray, source: str) -> np.ndarray:
-    """``mu``, the closed form of ``source``; a component that rounded to 0 raises.
-
-    The closed form is positive, so a 0 is a true component below the
-    float range, which no caller of ``mu`` should meet as a zero.
-    """
-    if not mu.min() > 0.0:
-        worst = int(np.argmin(mu))
-        raise ZeroStationaryError(
-            f"stationary component {worst} of {source} is below the float range"
-        )
-    return mu
 
 
 def symmetrize(chain: ReversibleChain, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -391,6 +391,8 @@ def test_conjecture_scan_bad_range(capsys):
     )
     assert code == 2
     assert err.startswith("usage error:")
+    code, out, err = run(capsys, ["conjecture-scan", "--n-min", "5", "--n-max", "3"])
+    assert (code, out, err) == (2, "", "usage error: --n-min 5 exceeds --n-max 3\n")
 
 
 def test_gen_structured_parseable(capsys):

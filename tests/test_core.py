@@ -877,6 +877,20 @@ def test_tilt_detect_round_trip_random():
         assert np.abs(back.matrix - tilted.matrix).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "P1, error, message",
+    [
+        ([[1.5, -0.5], [0.5, 0.5]], NegativeEntryError, r"^entry \(0,1\) = -0\.5 is below -tol$"),
+        ([[2.0, 0.0], [0.5, 0.5]], RowSumError, r"^row 0 sums to 2\.0, off by more than "),
+    ],
+    ids=["negative-entry", "row-sum"],
+)
+def test_tilt_detect_certifies_P1(P1, error, message):
+    # A P1 that is not stochastic is a domain error, not an outcome of the search.
+    with pytest.raises(error, match=message):
+        tilt_detect(P1, [[1.0, 0.0], [0.5, 0.5]])
+
+
 def test_tilt_detect_shape_mismatch():
     with pytest.raises(DimensionError):
         tilt_detect(np.ones((1, 2)) / 2.0, np.ones((2, 2)) / 2.0)

@@ -317,6 +317,8 @@ def test_scan_input_errors():
         conjecture_scan([], [1], trials_per_cell=1)
     with pytest.raises(ValueError):
         conjecture_scan([0, 2], [1], trials_per_cell=1)
+    with pytest.raises(ValueError, match=r"^n_range must contain integers >= 1, got \[0\]$"):
+        conjecture_scan([2], [0], 1)
 
 
 def per_trial_scan(m_range, n_range, trials_per_cell, base_seed=0, u_spread=1.0, tol=1e-9):

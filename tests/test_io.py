@@ -59,6 +59,8 @@ def test_one_column_csv_reads_as_vector():
 def test_ragged_rows_rejected():
     with pytest.raises(FormatError):
         parse_matrix("1.0,2.0\n3.0\n")
+    with pytest.raises(FormatError, match=r"^data row 1 must be a list of 2 numbers$"):
+        parse_matrix('{"rows": 2, "cols": 2, "data": [[1, 2], [3]]}')
 
 
 def test_bad_number_rejected():
@@ -112,6 +114,13 @@ def test_format_rejects_unknown_name():
         format_matrix(np.eye(2), "yaml")
     with pytest.raises(ValueError):
         format_vector(np.ones(2), "yaml")
+
+
+def test_format_rejects_the_wrong_number_of_dimensions():
+    with pytest.raises(ValueError, match=r"^expected a 2-D array, got ndim=1$"):
+        format_matrix([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^expected a 1-D array, got ndim=2$"):
+        format_vector([[1.0]])
 
 
 @pytest.mark.parametrize(

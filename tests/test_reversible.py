@@ -587,8 +587,21 @@ def test_two_tilt_certificate_rejects_irreversible_chain():
     # Tilts that gather the mass on states 0 and 1 gather the circulation
     # there too: the product's defect (4.3e-6) exceeds the chain's (2.6e-7).
     u = np.array([1e3, 1e3, 1, 1, 1, 1, 1, 1], dtype=float)
-    with pytest.raises(NotReversibleError, match=r"^two-tilt product has detailed-balance defect"):
+    message = r"^the product of the tilts by u and v has detailed-balance defect"
+    with pytest.raises(NotReversibleError, match=message):
         two_tilt_product(chain, u, u, tol)
+
+
+def test_tilt_certificate_rejects_irreversible_chain():
+    # The one tilt gathers the circulation as the product does: the closed
+    # form's defect and residual are 3.2e-6, and its components are off by
+    # up to 1.2e-5 relative to the tilt's solved stationary vector.
+    chain = circulated_chain(8)
+    tol = 1e-6
+    chain.require_reversible(tol)
+    u = np.array([1e3, 1e3, 1, 1, 1, 1, 1, 1], dtype=float)
+    with pytest.raises(NotReversibleError, match=r"^the tilt by u has detailed-balance defect"):
+        tilted_stationary(chain, u, tol)
 
 
 def test_two_tilt_certificate_accepts_what_require_reversible_accepts():
