@@ -27,6 +27,7 @@ from .validation import (
     DEFAULT_TOL,
     PATTERN_REL_THRESHOLD,
     StochasticMatrix,
+    _check_tol,
     _nonnegative,
     as_matrix,
     as_positive_vector,
@@ -132,7 +133,8 @@ def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     is returned as it is, at the tolerance it was certified at: a stricter
     ``tol`` does not check it again, but ``tol`` must still be positive and finite.
     """
-    if isinstance(M, StochasticMatrix) and 0.0 < tol < math.inf:
+    if isinstance(M, StochasticMatrix):
+        _check_tol(tol)
         return M
     return StochasticMatrix(M, tol)
 

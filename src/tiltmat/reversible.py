@@ -30,7 +30,9 @@ from .errors import (
     RowSumError,
     ZeroStationaryError,
 )
-from .validation import DEFAULT_TOL, _EPS, StochasticMatrix, as_square_matrix, as_vector, readonly
+from .validation import (
+    DEFAULT_TOL, _EPS, StochasticMatrix, _check_tol, as_square_matrix, as_vector, readonly
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class ReversibleChain:
         return cls(sm, _stationary(as_square_matrix(sm, "P"), tol))
 
     def require_reversible(self, tol: float) -> None:
+        """Raise NotReversibleError unless ``defect <= tol``, a ``tol`` that passes ``_check_tol``."""
+        _check_tol(tol)
         if not self.defect <= tol:
             raise NotReversibleError(
                 f"detailed-balance defect {self.defect!r} exceeds tolerance {tol!r}"

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, LengthMismatchError, NotSymmetricError
-from .reversible import _defect, _similar_symmetric, _stationary_residual
+from .core import _state_vectors, validate_stochastic
+from .errors import ConvergenceError, LengthMismatchError, NotSymmetricError
+from .reversible import _similar_symmetric
 from .validation import (
-    DEFAULT_TOL, _EPS, _as_array, _as_scalar, as_positive_vector, as_square_matrix
+    DEFAULT_TOL, _EPS, _as_array, _as_scalar, _check_tol, as_positive_vector, as_square_matrix,
+    as_vector,
 )
 
 METHOD_JACOBI = "symmetric-jacobi"
@@ -73,9 +75,13 @@ class BoundReport:
 
 
 def _symmetric_within(arr: np.ndarray, tol: float) -> bool:
-    """Whether ``max |a_ij - a_ji| <= tol * max(1, max |a_ij|)``."""
+    """Whether ``max |a_ij - a_ji| <= tol * max(1, max |a_ij|)``, a finite bound.
+
+    An infinite entry, which the similar matrix of an extreme ``mu`` can hold,
+    would make the bound vacuous, so it fails the test.
+    """
     scale = max(1.0, float(np.abs(arr).max()))
-    return float(np.abs(arr - arr.T).max()) <= tol * scale
+    return float(np.abs(arr - arr.T).max()) <= tol * scale < math.inf
 
 
 def _eigenvalues(arr: np.ndarray, route: str) -> np.ndarray:
@@ -100,6 +106,7 @@ def symmetric_eigenvalues(S, tol: float = 1e-12) -> np.ndarray:
     ``tol`` bounds the accepted input asymmetry, relative to the largest
     entry; the symmetric part of the input is what gets decomposed.
     """
+    _check_tol(tol)
     arr = as_square_matrix(S, "S")
     if not _symmetric_within(arr, tol):
         raise NotSymmetricError("matrix is not symmetric within tol")
@@ -118,8 +125,9 @@ def spectrum(M, method: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     within ``tol`` (relative to its largest entry) and the general route
     (``geev``) otherwise; passing ``symmetric-jacobi`` or ``general-qr``
     forces a route.  A forced symmetric route accepts an asymmetry up to
-    ``max(tol, 1e-12)``.
+    ``max(tol, 1e-12)``.  A ``tol`` that is not positive and finite is a ValueError.
     """
+    _check_tol(tol)
     arr = as_square_matrix(M, "M")
     if method == "auto":
         method = METHOD_JACOBI if _symmetric_within(arr, tol) else METHOD_QR
@@ -154,25 +162,24 @@ def _drop_principal(values: np.ndarray) -> float:
 def second_eigenvalue_modulus(P, mu=None, tol: float = DEFAULT_TOL) -> float:
     """Second largest eigenvalue modulus of a square stochastic matrix.
 
-    When ``mu`` is supplied and certifies detailed balance within ``tol``
-    (stationarity residual and defect both below it), the spectrum is taken
-    from the symmetric route on the symmetrized kernel, which is exact for
-    reversible inputs; otherwise, NaN in ``mu`` included, the general route
-    is used.  A ``mu`` that will not convert is a FormatError.  The eigenvalue
-    closest to 1 is excluded; if none lies within 1e-6 of 1 the input is
-    rejected as having drifted from stochasticity.
+    ``P`` is certified by :func:`validate_stochastic` at ``tol``; ``mu``, if
+    given, is a finite vector with one component per state.  The symmetric
+    route decomposes ``S = D^{1/2}(mu) P D^{-1/2}(mu)`` exactly when ``mu > 0``
+    and ``S`` passes :func:`spectrum`'s ``auto`` test at ``tol``.  The
+    asymmetry of ``S``, ``(mu_i P_ij - mu_j P_ji) / sqrt(mu_i mu_j)``, is 0
+    under detailed balance, does not scale with ``mu`` and, by Bauer-Fike,
+    bounds the route's error.  The eigenvalue closest to 1 is excluded; if
+    none lies within 1e-6 of 1 the input has drifted from stochasticity.
     """
-    arr = as_square_matrix(P, "P")
+    arr = as_square_matrix(validate_stochastic(P, tol), "P")
     if mu is not None:
-        muv = _as_array(mu, "mu").reshape(-1)
+        muv = as_vector(mu, "mu")
         if muv.shape[0] != arr.shape[0]:
             raise LengthMismatchError(f"mu has length {muv.shape[0]}, expected {arr.shape[0]}")
-        if muv.min() > 0.0 and _stationary_residual(arr, muv) <= tol and _defect(arr, muv) <= tol:
-            # The route decomposes the symmetric part of D^{1/2} P D^{-1/2};
-            # that shifts eigenvalues by at most the asymmetry, which the
-            # detailed-balance gate already bounded.  It is finite unless tol
-            # is vacuous; then syevd yields NaN, which _drop_principal rejects.
-            return _drop_principal(_eigenvalues(_similar_symmetric(arr, muv), METHOD_JACOBI))
+        if muv.min() > 0.0:
+            similar = _similar_symmetric(arr, muv)
+            if _symmetric_within(similar, tol):
+                return _drop_principal(_eigenvalues(similar, METHOD_JACOBI))
     return _drop_principal(_eigenvalues(arr, METHOD_QR))
 
 
@@ -217,11 +224,14 @@ def bound_chain(lambda2s, mus) -> float:
 
 
 def bound_main(lambda2_P: float, us) -> float:
-    """Bound for an ``n``-fold tilted product: ``lambda2**n * prod (max u / min u)**4``."""
-    vectors = [as_positive_vector(u, f"us[{k}]") for k, u in enumerate(us)]
-    if not vectors:
-        raise DimensionError("us must contain at least one vector")
-    highs, lows = np.array([(v.max(), v.min()) for v in vectors]).T
+    """Bound for an ``n``-fold tilted product: ``lambda2**n * prod (max u / min u)**4``.
+
+    Every ``us[k]`` has the length of ``us[0]``, or a DimensionError names it.
+    """
+    schedule = list(us)
+    m = as_vector(schedule[0], "us[0]").shape[0] if schedule else 0
+    vectors = _state_vectors(schedule, "us", m)
+    highs, lows = vectors.max(axis=1), vectors.min(axis=1)
     return float(_main_bound_curve(_as_scalar(lambda2_P, "lambda2_P"), highs, lows)[-1])
 
 

@@ -139,12 +139,11 @@ def _certify(arr: np.ndarray, tol: float) -> np.ndarray:
 def _nonnegative(arr: np.ndarray, tol: float, name: str = "") -> np.ndarray:
     """The one sign rule: ``arr`` with its dust in ``[-tol, 0)`` set to 0, else ``arr`` itself.
 
-    ``tol`` must be positive and finite, a ValueError otherwise.  An entry
-    below ``-tol`` is a NegativeEntryError that locates it within its matrix
-    and names the matrix ``name``, when one is given.
+    ``tol`` must pass :func:`_check_tol`.  An entry below ``-tol`` is a
+    NegativeEntryError that locates it within its matrix and names the matrix
+    ``name``, when one is given.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     low = float(arr.min())
     if low < -tol:
         idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
@@ -152,6 +151,12 @@ def _nonnegative(arr: np.ndarray, tol: float, name: str = "") -> np.ndarray:
         where = f" of {name}" if name else ""
         raise NegativeEntryError(f"entry ({i},{j}){where} = {float(arr[idx])!r} is below -tol")
     return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
+
+
+def _check_tol(tol: float) -> None:
+    """The one ``tol`` rule: a tolerance is positive and finite, a ValueError otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def as_square_matrix(values, name: str = "matrix") -> np.ndarray:

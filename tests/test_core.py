@@ -371,7 +371,7 @@ BOUNDARY_CALLS = {
     "symmetric_eigenvalues": (lambda bad: tiltmat.symmetric_eigenvalues(bad), "S"),
     "general_spectrum": (lambda bad: tiltmat.general_spectrum(bad), "M"),
     "spectrum": (lambda bad: tiltmat.spectrum(bad), "M"),
-    "second_eigenvalue_modulus(P)": (lambda bad: second_eigenvalue_modulus(bad), "P"),
+    "second_eigenvalue_modulus(P)": (lambda bad: second_eigenvalue_modulus(bad), "matrix"),
     "second_eigenvalue_modulus(mu)": (lambda bad: second_eigenvalue_modulus(TWO, bad), "mu"),
     "bound_tilted(lambda2_P)": (lambda bad: tiltmat.bound_tilted(bad, ONES), "lambda2_P"),
     "bound_tilted(u)": (lambda bad: tiltmat.bound_tilted(0.5, bad), "u"),
@@ -482,6 +482,30 @@ def test_tilting_calls_refuse_a_tol_that_is_not_positive_and_finite(call, tol):
     function, _ = TILTING_CALLS[call]
     with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
         function([[0.9, 0.1], [0.5, 0.5]], tol)
+
+
+# Every public function that takes a tol and no matrix it tilts: each refuses a
+# tol that is not positive and finite with the same ValueError, through
+# validation._check_tol.
+SKEW = [[0.9, 0.1, 0.0, 0.0], [0.0, 0.9, 0.1, 0.0], [0.0, 0.0, 0.9, 0.1], [0.1, 0.0, 0.0, 0.9]]
+TOL_CALLS = {
+    "validate_stochastic": lambda tol: validate_stochastic(SKEW, tol),
+    "spectrum(auto)": lambda tol: tiltmat.spectrum(SKEW, "auto", tol),
+    "spectrum(general-qr)": lambda tol: tiltmat.spectrum(SKEW, tiltmat.METHOD_QR, tol),
+    "symmetric_eigenvalues": lambda tol: tiltmat.symmetric_eigenvalues(np.eye(2), tol),
+    "second_eigenvalue_modulus": lambda tol: second_eigenvalue_modulus(SKEW, None, tol),
+    "second_eigenvalue_modulus(mu)": lambda tol: second_eigenvalue_modulus(
+        validate_stochastic(SKEW), [0.25] * 4, tol
+    ),
+    "require_reversible": lambda tol: two_state_chain().require_reversible(tol),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(TOL_CALLS))
+def test_one_tol_rule(call, tol):
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+        TOL_CALLS[call](tol)
 
 
 @pytest.mark.parametrize("call", sorted(TILTING_CALLS))

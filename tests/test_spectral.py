@@ -14,8 +14,10 @@ from tiltmat import (
     LengthMismatchError,
     METHOD_JACOBI,
     METHOD_QR,
+    NonFiniteError,
     NotSymmetricError,
     ReversibleChain,
+    RowSumError,
     Spectrum,
     ZeroComponentError,
     bound_chain,
@@ -24,8 +26,10 @@ from tiltmat import (
     bound_tilted,
     general_spectrum,
     random_reversible,
+    reversibility_defect,
     second_eigenvalue_modulus,
     spectrum,
+    stationary_distribution,
     symmetric_eigenvalues,
     symmetrize,
     tilt,
@@ -287,13 +291,30 @@ def test_second_eigenvalue_edge_cases():
 
 
 def test_second_eigenvalue_rejects_nonstochastic():
-    with pytest.raises(ConvergenceError):
+    # P is certified at the boundary, by validate_stochastic.
+    with pytest.raises(RowSumError):
         second_eigenvalue_modulus([[0.2, 0.0], [0.0, 0.1]])
+    # An eigenvalue 1 does not make a matrix stochastic.
+    with pytest.raises(RowSumError, match="^row 0 sums to 6.0"):
+        second_eigenvalue_modulus([[1.0, 5.0], [0.0, 0.5]])
 
 
 def test_second_eigenvalue_mu_length_mismatch():
     with pytest.raises(LengthMismatchError):
         second_eigenvalue_modulus([[0.5, 0.5], [0.5, 0.5]], mu=[1.0, 1.0, 1.0])
+
+
+def test_second_eigenvalue_mu_is_a_finite_vector():
+    P = np.full((4, 4), 0.25)
+    # A (2, 2) mu has four components but is no vector.
+    with pytest.raises(DimensionError, match="^mu must be a non-empty 1-D vector$"):
+        second_eigenvalue_modulus(P, np.full((2, 2), 0.25))
+    # One row or one column is a vector.
+    expected = second_eigenvalue_modulus(P, np.full(4, 0.25))
+    assert second_eigenvalue_modulus(P, np.full((4, 1), 0.25)) == expected
+    assert second_eigenvalue_modulus(P, np.full((1, 4), 0.25)) == expected
+    with pytest.raises(NonFiniteError, match="^mu contains NaN or infinite entries$"):
+        second_eigenvalue_modulus(P, [0.25, 0.25, np.nan, 0.25])
 
 
 def test_second_eigenvalue_routes_agree():
@@ -326,6 +347,58 @@ def test_second_eigenvalue_uncertified_mu_falls_back():
     cycle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
     out = second_eigenvalue_modulus(cycle, mu=[1.0 / 3.0] * 3)
     assert abs(out - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_second_eigenvalue_route_does_not_scale_with_mu(scale):
+    """A scaled mu of a non-reversible chain keeps the general route.
+
+    The chain's defect is 0.052.  A (P, mu) certificate, a residual and a
+    defect, shrinks with mu: from scale 1e-9 on it would pass the chain to the
+    symmetric route, which gives 0.3078 for the true 0.2848.  The similar
+    matrix's asymmetry does not scale.
+    """
+    raw = np.random.default_rng(3).uniform(size=(5, 5))
+    P = raw / raw.sum(axis=1, keepdims=True)
+    mu = stationary_distribution(P)
+    assert reversibility_defect(P, mu) > 0.05
+    assert second_eigenvalue_modulus(P, scale * mu) == second_eigenvalue_modulus(P)
+
+
+@pytest.mark.parametrize("power", [30, -30])
+@pytest.mark.parametrize("m", [2, 5, 16])
+def test_second_eigenvalue_is_exactly_invariant_under_power_of_four_scaling(m, power):
+    # sqrt(4**k mu) is 2**k sqrt(mu) exactly, so the similar matrix is the same bits.
+    for seed in range(5):
+        chain = random_reversible(m, seed)
+        expected = second_eigenvalue_modulus(chain.kernel, chain.stationary)
+        assert second_eigenvalue_modulus(chain.kernel, 4.0**power * chain.stationary) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_second_eigenvalue_similar_matrix_that_overflows_takes_the_general_route():
+    # sqrt(mu_0 / mu_1) is about 5.8e315, so the similar matrix holds inf: the
+    # symmetry test must not pass it to syevd, which would return NaN.
+    P = [[0.9, 0.1], [0.2, 0.8]]
+    assert second_eigenvalue_modulus(P, [1.7e308, 5e-324]) == second_eigenvalue_modulus(P)
+
+
+def test_second_eigenvalue_circulation_below_tol_takes_the_general_route():
+    """A defect within tol does not make the similar matrix symmetric within tol.
+
+    The circulation adds ``c`` to the flow around the cycle 0 -> 1 -> ... -> 0,
+    which keeps mu stationary and gives a defect of 2c, but an asymmetry of
+    2c / sqrt(mu_i mu_j) in the matrix the symmetric route would decompose.
+    """
+    chain = random_reversible(8, seed=5)
+    mu, c, tol = chain.stationary, 2e-10, 1e-9
+    cycle = np.roll(np.eye(8), 1, axis=1) - np.roll(np.eye(8), -1, axis=1)
+    P = chain.kernel.matrix + c * cycle / mu[:, None]
+    assert reversibility_defect(P, mu) <= tol
+    root = np.sqrt(mu)
+    S = root[:, None] * P / root
+    assert np.abs(S - S.T).max() > 2 * tol
+    assert second_eigenvalue_modulus(P, mu, tol) == second_eigenvalue_modulus(P, None, tol)
 
 
 def test_bound_tilted_frozen():
@@ -392,6 +465,10 @@ def test_bound_input_errors():
         bound_chain([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0, 1.0]])
     with pytest.raises(DimensionError, match="^us must contain at least one vector$"):
         bound_main(0.5, [])
+    with pytest.raises(DimensionError, match=r"^us\[1\] has length 3, expected 2$"):
+        bound_main(0.5, [[1, 2], [1, 2, 3]])
+    with pytest.raises(DimensionError, match=r"^us\[2\] has length 1, expected 2$"):
+        bound_main(0.5, [[1, 2], [2, 1], [1], [1, 2, 3]])
 
 
 def test_bound_tilted_dominates_observed():
@@ -512,8 +589,9 @@ def test_spectrum_values_are_frozen():
 
 
 def test_non_stochastic_message_prints_plain_complex():
+    # A tol of 0.5 certifies 0.5 I as stochastic; the default refuses it.
     with pytest.raises(ConvergenceError, match=r"\(closest is \(0\.5\+0j\)\)"):
-        second_eigenvalue_modulus(0.5 * np.eye(2))
+        second_eigenvalue_modulus(0.5 * np.eye(2), tol=0.5)
 
 
 def test_main_bound_curve_overflows_to_inf():

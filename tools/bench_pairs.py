@@ -13,7 +13,16 @@ gives, per workload and end-to-end metric, each side's median and quartiles,
 the change's wins over the parent (ties count for neither), and whether the
 change is better by the benchmark's rule: at least nine tenths of the pairs
 won and the medians further apart than the parent's interquartile range.
-The host reference kernel (``host.ref_ms``) is summarised the same way.
+Each end-to-end metric also gets the no-regression verdict, ``regression``,
+against its relative ``bound`` in ``BENCHMARK.json``:
+
+- ``worse``: the change's median is worse than the parent's by more than the bound;
+- ``unresolved``: either side's interquartile range over its median exceeds
+  the bound, unless every run of the change beats every run of the parent;
+- ``within_bound``: neither.
+
+The host reference kernel (``host.ref_ms``) is summarised the same way, with
+no verdict, since it has no bound.
 """
 
 from __future__ import annotations
@@ -54,9 +63,11 @@ def parse_run(text: str, workload: str) -> dict:
             "failed": record["failed"]}
 
 
-def summarise(pairs: list[dict], better: dict) -> dict:
+def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric ``{"name", "better"[, "bound"]}``, the two sides of ``pairs`` compared."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         sides = {s: [p[s]["values"][name] for p in pairs] for s in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
@@ -65,14 +76,39 @@ def summarise(pairs: list[dict], better: dict) -> dict:
         for side, values in sides.items():
             q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
             stats[side] = {"median": q2, "q1": q1, "q3": q3, "runs": values}
-        gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        parent_median = stats["parent"]["median"]
+        gap = sign * (stats["change"]["median"] - parent_median)
         out[name] = {
             "better": direction, **stats, "change_wins": wins, "parent_wins": losses,
-            "ratio_change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
+            "ratio_change_over_parent": stats["change"]["median"] / parent_median
+            if parent_median else None,
             "gain_by_rule": wins >= 0.9 * len(pairs)
             and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
+        if "bound" in metric:
+            out[name]["regression"] = regression(gap, stats, sign, metric["bound"])
     return out
+
+
+def regression(gap: float, stats: dict, sign: float, bound: float) -> str:
+    """The no-regression verdict on one metric's ``stats``.
+
+    ``sign`` is +1 when higher is better and -1 when lower is, and ``gap`` is
+    the change's median minus the parent's, times ``sign``.
+    """
+    parent, change = stats["parent"], stats["change"]
+    if gap < -bound * abs(parent["median"]):
+        return "worse"
+    separated = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
+    if not separated and max(spread(parent), spread(change)) > bound:
+        return "unresolved"
+    return "within_bound"
+
+
+def spread(side: dict) -> float:
+    """Interquartile range over the median; any range over a zero median is infinite."""
+    width = side["q3"] - side["q1"]
+    return width / abs(side["median"]) if side["median"] else (float("inf") if width else 0.0)
 
 
 def main() -> int:
@@ -86,8 +122,7 @@ def main() -> int:
     dirs = {"parent": os.path.abspath(opts.parent), "change": os.path.abspath(opts.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better["host.ref_ms"] = "lower"
+    metrics = [*spec["end_to_end"], {"name": "host.ref_ms", "better": "lower"}]
 
     report = {"pairs": PAIRS, "seeds": [opts.first_seed, opts.first_seed + PAIRS - 1],
               "run_seconds": spec["run_seconds"], "workloads": {}}
@@ -101,7 +136,7 @@ def main() -> int:
         report["workloads"][workload] = {
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
             "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
-            "metrics": summarise(pairs, better),
+            "metrics": summarise(pairs, metrics),
         }
     with open(opts.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)
